@@ -15,11 +15,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <thread>
 
 #include "apps/apps.hh"
+#include "core/faultinject.hh"
 #include "core/passes.hh"
 #include "estimate/area_estimator.hh"
 #include "serve/client.hh"
@@ -333,7 +335,13 @@ TEST_F(ServerFixture, CancelStopsARunningJob)
     startServer();
     Client c = connect();
 
-    // A big job (many points) that cancel will interrupt.
+    // A big job (many points) that cancel will interrupt. The
+    // injected hang holds it after its first evaluations, so the
+    // cancel below lands mid-run however loaded the machine is.
+    fault::configure("hang-after-evals=1,hang-seconds=1");
+    struct Disarm {
+        ~Disarm() { fault::reset(); }
+    } disarm;
     Json resp;
     ASSERT_TRUE(
         c.request(submitRequest("gda", "t", 0.3, 30000, 1), resp)
@@ -348,6 +356,19 @@ TEST_F(ServerFixture, CancelStopsARunningJob)
     EXPECT_FALSE(resp.find("ok")->asBool());
     EXPECT_EQ(resp.find("error")->find("code")->asString(),
               "admission-rejected");
+
+    // Cancel only once the job is provably running: a job cancelled
+    // while still queued never starts, so it has no skipped points.
+    Json status = Json::object();
+    status.set("op", "status");
+    status.set("job", job);
+    for (;;) {
+        ASSERT_TRUE(c.request(status, resp).ok());
+        if (resp.find("state")->asString() != "queued")
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(resp.find("state")->asString(), "running");
 
     Json cancel = Json::object();
     cancel.set("op", "cancel");
