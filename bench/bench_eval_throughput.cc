@@ -16,7 +16,6 @@
  * Knobs:
  *   DHDL_BENCH_SCALE   dataset scale factor (default 1.0 = Table II)
  *   DHDL_EVAL_POINTS   points sampled per app (default 2000)
- *   DHDL_EVAL_BATCH    evaluation batch size (default: ExploreConfig)
  */
 
 #include <benchmark/benchmark.h>
@@ -38,13 +37,6 @@ int
 evalPoints()
 {
     return int(bench::envInt("DHDL_EVAL_POINTS", 2000));
-}
-
-int
-evalBatch()
-{
-    return int(
-        bench::envInt("DHDL_EVAL_BATCH", dse::ExploreConfig{}.batchSize));
 }
 
 /** Thread counts measured per app; the first is the headline row. */
@@ -75,14 +67,13 @@ struct Row {
  */
 Row
 measureApp(const apps::AppEntry& app, double scale, int points,
-           int threads, int batch)
+           int threads)
 {
     using Clock = std::chrono::steady_clock;
     Design d = app.build(scale);
     dse::ExploreConfig cfg;
     cfg.maxPoints = points;
     cfg.threads = threads;
-    cfg.batchSize = batch;
     auto t0 = Clock::now();
     auto res = bench::explorer().explore(d.graph(), cfg);
     double dt = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -170,7 +161,7 @@ main(int argc, char** argv)
     // measures the uninstrumented path).
     obs::setEnabled(obs::envEnabled().value_or(true));
 
-    int batch = evalBatch();
+    const int batch = dse::ExploreConfig{}.batchSize;
     std::cout << "Evaluation throughput (scale=" << scale << ", up to "
               << points << " points/app, batch=" << batch << ")\n\n";
 
@@ -188,7 +179,7 @@ main(int argc, char** argv)
     for (const auto& app : apps::allApps()) {
         for (int threads : kThreadCounts) {
             auto before = obs::snapshotMetrics();
-            Row r = measureApp(app, scale, points, threads, batch);
+            Row r = measureApp(app, scale, points, threads);
             auto after = obs::snapshotMetrics();
             r.instantiateUs =
                 delta(before, after, "dse.stage.instantiate.us");

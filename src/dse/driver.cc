@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 
 #include "core/faultinject.hh"
 #include "cpu/thread_pool.hh"
@@ -177,21 +176,30 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
     };
 
     // Compile the binding-invariant plan exactly once; every worker
-    // evaluator shares it read-only. A broken graph leaves the plan
-    // null and each point reports the error individually. A caller
-    // that already holds the plan (the serving layer's plan cache)
-    // passes it in and the compile — span included — never happens.
+    // evaluator shares it read-only. A caller that already holds the
+    // plan (the serving layer's plan cache) passes it in and the
+    // compile — span included — never happens. A graph that cannot
+    // be evaluated at all (it fails to compile, or uses a template
+    // class the area model never characterized) is reported once,
+    // before round 0, and no point is evaluated.
+    Diag why;
     auto plan = cfg.plan;
     if (!plan) {
         const auto planT0 = Clock::now();
-        plan = Evaluator::tryCompile(g);
+        plan = Evaluator::tryCompile(g, &why);
         res.stats.planSeconds = secondsSince(planT0);
         obs::recordSpan("dse", "plan-compile", obs::toMicros(planT0),
                         uint64_t(res.stats.planSeconds * 1e6));
     }
-
-    auto strategy =
-        makeStrategy(cfg, space, plan.get(), res.points, sink);
+    if (plan && !Evaluator::batchable(area_, *plan, &why))
+        plan = nullptr;
+    std::unique_ptr<SearchStrategy> strategy;
+    if (plan) {
+        strategy = makeStrategy(cfg, space, *plan, res.points, sink);
+    } else {
+        sink.report(std::move(why));
+        remaining = 0;
+    }
 
     // Incremental Pareto front over everything evaluated so far,
     // seeded with checkpoint-restored points in index order.
@@ -205,10 +213,10 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
     const auto* hook = cfg.preEvaluate ? &cfg.preEvaluate : nullptr;
     // Chaos seams (disarmed: one relaxed load). The crash is a real
     // SIGKILL — exactly what the durable checkpoint format and the
-    // shard supervisor exist to survive. The batched path fires the
-    // seams once per point after its batch, so crash-after-N-evals
-    // counting is unchanged (the crash lands on a batch boundary,
-    // which resume converges from identically).
+    // shard supervisor exist to survive. The seams fire once per
+    // point after its batch, so crash-after-N-evals counts points
+    // (the crash lands on a batch boundary, which resume converges
+    // from identically).
     auto faultSeams = [&](size_t evals) {
         if (!fault::active())
             return;
@@ -219,16 +227,8 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
                 fault::sleepFor(fault::hangSeconds());
         }
     };
-    // The current round's proposal; the evaluation lambdas index it.
+    // The current round's proposal; evalRange indexes it.
     std::vector<size_t> proposed;
-    auto evalOne = [&](Evaluator& ev, size_t idx) {
-        if (expired())
-            return;
-        Status s = ev.evaluatePoint(res.points[idx], idx, hook);
-        if (!s.ok())
-            sink.report(s.diag());
-        faultSeams(1);
-    };
     // Batched handout: contiguous runs of the proposal, inside one
     // worker's range, inside one checkpoint slice. Result order is
     // indexed by global point index, so batching cannot reorder it.
@@ -244,20 +244,14 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
         }
     };
 
-    std::mutex statsMu;
-    auto mergeTimes = [&](const Evaluator& ev) {
-        std::lock_guard<std::mutex> lk(statsMu);
-        res.stats.stages += ev.times();
-    };
-
     std::unique_ptr<cpu::ThreadPool> tpool;
     if (cfg.threads > 1)
         tpool = std::make_unique<cpu::ThreadPool>(cfg.threads);
 
-    // The serial path reuses one evaluator (and its Inst overlay and
+    // The serial path reuses one evaluator (and its Inst pool and
     // estimator scratch) across every slice of every round.
     std::optional<Evaluator> serial;
-    if (!tpool)
+    if (!tpool && plan)
         serial.emplace(area_, runtime_, g, plan);
 
     bool ckFailed = false;
@@ -278,7 +272,6 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
         }
     };
 
-    const bool batched = cfg.batchSize > 0;
     for (int round = 0; remaining > 0; ++round) {
         RoundStats rs;
         rs.round = round;
@@ -308,18 +301,10 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
             if (tpool) {
                 tpool->parallelFor(hi - lo, [&](int64_t a, int64_t b) {
                     Evaluator ev(area_, runtime_, g, plan);
-                    if (batched)
-                        evalRange(ev, lo + a, lo + b);
-                    else
-                        for (int64_t i = a; i < b; ++i)
-                            evalOne(ev, proposed[size_t(lo + i)]);
-                    mergeTimes(ev);
+                    evalRange(ev, lo + a, lo + b);
                 });
-            } else if (batched) {
-                evalRange(*serial, lo, hi);
             } else {
-                for (int64_t i = lo; i < hi; ++i)
-                    evalOne(*serial, proposed[size_t(i)]);
+                evalRange(*serial, lo, hi);
             }
             checkpoint();
             if (halted())
@@ -355,9 +340,8 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
         if (halted())
             break;
     }
-    if (serial)
-        mergeTimes(*serial);
-    strategy->finish(sink);
+    if (strategy)
+        strategy->finish(sink);
 
     // Aggregate stats; points skipped by a budget stay un-evaluated.
     for (const DesignPoint& p : res.points) {
@@ -402,8 +386,7 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
 
     // Fold the run into the process-wide registry: these counters are
     // what `dhdlc --profile`, `--metrics` and the throughput bench
-    // render. One source of truth with ExploreStats — same numbers,
-    // recorded once per explore() call.
+    // render, next to the per-stage counters evaluateBatch adds.
     if (obs::enabled()) {
         static const obs::Counter cRuns("dse.explore.runs");
         static const obs::Counter cUs("dse.explore.us");
@@ -413,10 +396,6 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
         static const obs::Counter cValid("dse.points.valid");
         static const obs::Counter cSkip("dse.points.skipped");
         static const obs::Counter cDiags("dse.diags");
-        static const obs::Counter cInst("dse.stage.instantiate.us");
-        static const obs::Counter cArea("dse.stage.area.us");
-        static const obs::Counter cRt("dse.stage.runtime.us");
-        static const obs::Counter cVal("dse.stage.validate.us");
         auto us = [](double s) {
             return s > 0 ? uint64_t(s * 1e6) : uint64_t(0);
         };
@@ -428,10 +407,6 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
         cValid.add(res.stats.valid);
         cSkip.add(res.stats.skipped);
         cDiags.add(res.diags.size());
-        cInst.add(us(res.stats.stages.instantiate));
-        cArea.add(us(res.stats.stages.area));
-        cRt.add(us(res.stats.stages.runtime));
-        cVal.add(us(res.stats.stages.validate));
     }
     return res;
 }

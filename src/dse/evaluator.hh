@@ -3,21 +3,21 @@
  * Staged design-point evaluation. The Evaluator owns everything one
  * evaluating thread needs to score bindings of a single graph:
  *
- *  - the shared, compile-once DesignPlan (binding-invariant analysis);
- *  - a reusable Inst overlay, rebound per point without reallocation;
- *  - the estimator scratch workspace (template list, feature vector).
+ *  - the shared, compile-once DesignPlan (binding-invariant analysis)
+ *    and its batched area plan;
+ *  - a pool of Inst rows, rebound per point without reallocation;
+ *  - the batched estimator scratch.
  *
- * Evaluation runs as a fixed pipeline — pre-evaluate hook →
- * instantiate → area → runtime → validate — with a wall-clock
- * counter per stage, surfaced by `dhdlc explore --profile`. The
- * guarded entry point converts any stage exception into a structured
- * diagnostic naming the stage, exactly as the explorer's isolation
- * boundary always has.
+ * Evaluation runs in batches as a fixed pipeline — pre-evaluate hook
+ * → instantiate → area → runtime → validate — with a wall-clock
+ * counter per stage, surfaced by `dhdlc explore --profile`. Any stage
+ * exception becomes a structured diagnostic naming the stage, on the
+ * failing point only: the explorer's isolation boundary.
  *
- * When plan compilation itself fails (a structurally broken graph),
- * the Evaluator keeps a null plan and falls back to one-off
- * instantiation per point, so the error is reported per point inside
- * the isolation boundary instead of aborting the sweep.
+ * A graph that cannot be evaluated at all (it fails validation or
+ * plan compilation, or uses a template class the area model never
+ * characterized) is refused before any point is evaluated:
+ * tryCompile() and batchable() say why.
  */
 
 #ifndef DHDL_DSE_EVALUATOR_HH
@@ -25,7 +25,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "analysis/instance.hh"
@@ -61,34 +60,12 @@ struct DesignPoint {
 /** Render a binding as "name=value ..." for diagnostic context. */
 std::string renderBinding(const Graph& g, const ParamBinding& b);
 
-/** Accumulated wall-clock per evaluation stage, in seconds. */
-struct StageTimes {
-    double instantiate = 0;
-    double area = 0;
-    double runtime = 0;
-    double validate = 0;
-    uint64_t points = 0; //!< Points that completed all stages.
-
-    double
-    total() const
-    {
-        return instantiate + area + runtime + validate;
-    }
-
-    StageTimes&
-    operator+=(const StageTimes& o)
-    {
-        instantiate += o.instantiate;
-        area += o.area;
-        runtime += o.runtime;
-        validate += o.validate;
-        points += o.points;
-        return *this;
-    }
-};
+/** Mark `p` failed (evaluated, not valid) with `d`'s code, stage and
+ *  message. */
+void markFailed(DesignPoint& p, const Diag& d);
 
 /**
- * Per-thread staged evaluation pipeline over one graph. Not
+ * Per-thread batched evaluation pipeline over one graph. Not
  * thread-safe: parallel sweeps construct one Evaluator per worker,
  * all sharing the same compiled plan.
  */
@@ -97,86 +74,60 @@ class Evaluator
   public:
     using Hook = std::function<void(const ParamBinding&, size_t)>;
 
-    /** Compile the graph's plan inline (null on a broken graph). */
-    Evaluator(const est::AreaEstimator& area,
-              const est::RuntimeEstimator& runtime, const Graph& g);
-
-    /** Share a pre-compiled plan (may be null: per-point fallback). */
+    /** Share a pre-compiled, non-null plan; evaluateBatch() needs it
+     *  batchable() by `area`. */
     Evaluator(const est::AreaEstimator& area,
               const est::RuntimeEstimator& runtime, const Graph& g,
               std::shared_ptr<const DesignPlan> plan);
 
-    /** Compile a graph's plan; null (never throws) on failure. */
+    /**
+     * Validate the graph and compile its plan. Never throws: on
+     * failure returns null and, when `why` is given, fills it with
+     * the error (stage "plan", pointIndex -1).
+     */
     static std::shared_ptr<const DesignPlan>
-    tryCompile(const Graph& g) noexcept;
-
-    /** The shared plan; null when the graph failed to compile. */
-    const std::shared_ptr<const DesignPlan>&
-    plan() const
-    {
-        return plan_;
-    }
-
-    /** Evaluate one binding; throws on a bad point. */
-    DesignPoint evaluate(ParamBinding b);
+    tryCompile(const Graph& g, Diag* why = nullptr) noexcept;
 
     /**
-     * Evaluate one point inside the isolation boundary: never
-     * throws; on failure marks the point and returns the diagnostic
-     * (stage-tagged, with the binding as context). `hook` (may be
-     * null) runs before instantiation; `idx` is the point index
-     * passed to the hook and recorded on diagnostics.
+     * True when `area` characterizes every template class `plan`
+     * uses, the precondition of evaluateBatch(); otherwise false
+     * with the missing class in `why` (stage "plan", pointIndex -1).
      */
-    Status evaluatePoint(DesignPoint& p, size_t idx,
-                         const Hook* hook = nullptr);
+    static bool batchable(const est::AreaEstimator& area,
+                          const DesignPlan& plan, Diag* why = nullptr);
 
     /**
      * Evaluate the n points points[idxs[0..n)] as one batch:
      * structure-of-arrays instantiation against the shared plan, the
      * batched area kernel, then per-point runtime and a batched
-     * validate. Every per-point value and every failure diagnostic is
-     * bit-identical to n evaluatePoint() calls — batching reorders
-     * work across points, never within a point's arithmetic. Failing
-     * points (hook, instantiate or runtime) are marked exactly as
-     * evaluatePoint() marks them, reported to `sink`, and drop out of
-     * the remaining stages; the rest of the batch proceeds. Falls
-     * back to the scalar path when the plan is null or has an
-     * uncharacterized template class, so those failures keep their
-     * scalar per-point diagnostics.
+     * validate. Batching reorders work across points, never within a
+     * point's arithmetic, so every value is the same at any batch
+     * size; a batch of one is the scalar case. `hook` (may be null)
+     * runs per point before instantiation. A point whose hook,
+     * instantiation, area or runtime stage throws is marked failed
+     * (stage-tagged, with the binding as context), reported to
+     * `sink`, and drops out of the remaining stages; the rest of the
+     * batch proceeds. With obs recording on, each stage's wall time
+     * is added to the `dse.stage.<stage>.us` counters.
      */
     void evaluateBatch(std::vector<DesignPoint>& points,
                        const size_t* idxs, size_t n, const Hook* hook,
                        DiagSink& sink);
 
-    /** Per-stage wall-clock accumulated by this evaluator. */
-    const StageTimes& times() const { return times_; }
-
   private:
-    /** The staged pipeline; throws, leaving `stage` at the culprit. */
-    void run(DesignPoint& p, size_t idx, const Hook* hook,
-             const char*& stage);
-
-    /** Mark `p` failed from the in-flight exception, mirroring the
-     *  evaluatePoint() catch block, and report the diagnostic. */
+    /** Mark `p` failed from the in-flight exception and report the
+     *  diagnostic. */
     void failPoint(DesignPoint& p, size_t idx, const char* stage,
                    DiagSink& sink);
-
-    /** Build the batched area plan on first use; false = fall back
-     *  to the scalar path (null or uncharacterizable plan). */
-    bool ensureBatchPlan();
 
     const est::AreaEstimator& area_;
     const est::RuntimeEstimator& runtime_;
     const Graph* g_;
     std::shared_ptr<const DesignPlan> plan_;
-    std::optional<Inst> inst_; //!< Reused across points.
-    est::AreaWorkspace ws_;
-    StageTimes times_;
-
-    // Batched-path state, all reused across batches.
-    InstPool pool_;            //!< Rebind-reusing instance rows.
     est::AreaBatchPlan batchPlan_;
-    bool batchPlanTried_ = false;
+
+    // Scratch, all reused across batches.
+    InstPool pool_;            //!< Rebind-reusing instance rows.
     est::AreaBatchWorkspace bws_;
     std::vector<est::AreaEstimate> areaOut_;
     std::vector<size_t> liveIdx_;  //!< Point index per pool row.

@@ -96,15 +96,32 @@ ExploreResult::failureSummary(size_t top) const
 DesignPoint
 Explorer::evaluate(const Graph& g, ParamBinding b) const
 {
-    Evaluator ev(area_, runtime_, g);
-    return ev.evaluate(std::move(b));
+    DesignPoint p;
+    p.binding = std::move(b);
+    Status s = evaluateGuarded(g, p);
+    if (!s.ok())
+        fatal(s.diag().message, s.diag().code);
+    return p;
 }
 
 Status
 Explorer::evaluateGuarded(const Graph& g, DesignPoint& p) const
 {
-    Evaluator ev(area_, runtime_, g);
-    return ev.evaluatePoint(p, 0, nullptr);
+    Diag why;
+    auto plan = Evaluator::tryCompile(g, &why);
+    if (!plan || !Evaluator::batchable(area_, *plan, &why)) {
+        markFailed(p, why);
+        return Status::error(std::move(why));
+    }
+    std::vector<DesignPoint> one;
+    one.push_back(std::move(p));
+    const size_t idx = 0;
+    DiagSink sink;
+    Evaluator(area_, runtime_, g, std::move(plan))
+        .evaluateBatch(one, &idx, 1, nullptr, sink);
+    p = std::move(one[0]);
+    auto diags = sink.drain();
+    return diags.empty() ? Status() : Status::error(std::move(diags[0]));
 }
 
 ExploreResult

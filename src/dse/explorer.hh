@@ -99,13 +99,12 @@ struct ExploreConfig {
     int threads = 1;
 
     /**
-     * Points handed to each Evaluator::evaluateBatch call. Batching
-     * never changes a result bit — it only restructures the work into
-     * structure-of-arrays kernels — so the default is purely a
-     * throughput tuning knob. 0 selects the legacy point-at-a-time
-     * path (the reference the batch-equivalence suite compares
-     * against). Batches nest inside checkpoint slices and per-worker
-     * ranges, so checkpoint cadence and sharding are unaffected.
+     * Points handed to each Evaluator::evaluateBatch call (values
+     * below 1 mean 1). Batching never changes a result bit — it only
+     * restructures the work into structure-of-arrays kernels — so
+     * this is purely a throughput setting. Batches nest inside
+     * checkpoint slices and per-worker ranges, so checkpoint cadence
+     * and sharding are unaffected.
      */
     int batchSize = 64;
 
@@ -228,8 +227,6 @@ struct ExploreStats {
     double seconds = 0;   //!< Wall-clock of this explore() call.
     /** Wall-clock of the one-time DesignPlan compilation. */
     double planSeconds = 0;
-    /** Per-stage evaluation wall-clock, summed over all workers. */
-    StageTimes stages;
     /** One entry per search round, in order. */
     std::vector<RoundStats> rounds;
 };
@@ -253,9 +250,9 @@ struct ExploreResult {
 
 /**
  * DSE driver bound to calibrated estimators. All point evaluation —
- * one-off or sweep — routes through the staged Evaluator pipeline;
- * explore() compiles the graph's DesignPlan once and shares it across
- * worker evaluators.
+ * one-off or sweep — routes through Evaluator::evaluateBatch (a
+ * one-off point is a batch of one); explore() compiles the graph's
+ * DesignPlan once and shares it across worker evaluators.
  */
 class Explorer
 {
@@ -270,7 +267,8 @@ class Explorer
     /**
      * Evaluate a single binding inside the isolation boundary: never
      * throws, returns error status and marks the point failed when
-     * evaluation raises.
+     * evaluation raises or the graph cannot be evaluated at all
+     * (stage "plan").
      */
     Status evaluateGuarded(const Graph& g, DesignPoint& p) const;
 

@@ -8,12 +8,10 @@
 namespace dhdl::dse {
 
 FeatureExtractor::FeatureExtractor(const ParamSpace& space,
-                                   const DesignPlan* plan)
+                                   const DesignPlan& plan)
     : space_(space), nparams_(space.legalValues().size())
 {
-    if (!plan)
-        return;
-    for (const TemplateSlot& s : plan->templateSlots())
+    for (const TemplateSlot& s : plan.templateSlots())
         slotCounts_[size_t(templateClassOf(s.base.tkind))] += 1.0;
 }
 

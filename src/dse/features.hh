@@ -40,12 +40,8 @@ inline constexpr int kFeatureSchemaVersion = 1;
 class FeatureExtractor
 {
   public:
-    /**
-     * `plan` may be null (a structurally broken graph): the slot
-     * counts are then zero and the parameter features still work.
-     * `space` must outlive the extractor.
-     */
-    FeatureExtractor(const ParamSpace& space, const DesignPlan* plan);
+    /** `space` must outlive the extractor. */
+    FeatureExtractor(const ParamSpace& space, const DesignPlan& plan);
 
     /** Length of the feature vector (nparams + 6). */
     size_t count() const { return nparams_ + 6; }

@@ -613,7 +613,7 @@ SurrogateStrategy::finish(DiagSink& sink)
 
 std::unique_ptr<SearchStrategy>
 makeStrategy(const ExploreConfig& cfg, const ParamSpace& space,
-             const DesignPlan* plan,
+             const DesignPlan& plan,
              const std::vector<DesignPoint>& points, DiagSink& sink)
 {
     if (cfg.strategy == StrategyKind::Random)

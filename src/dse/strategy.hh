@@ -182,7 +182,7 @@ class SurrogateStrategy final : public SearchStrategy
  */
 std::unique_ptr<SearchStrategy>
 makeStrategy(const ExploreConfig& cfg, const ParamSpace& space,
-             const DesignPlan* plan,
+             const DesignPlan& plan,
              const std::vector<DesignPoint>& points, DiagSink& sink);
 
 } // namespace dhdl::dse

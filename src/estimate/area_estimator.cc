@@ -403,6 +403,14 @@ AreaEstimator::makeBatchPlan(const DesignPlan& plan) const
     const auto& slots = plan.templateSlots();
     bp.kernels_.resize(slots.size());
     bp.ok_ = true;
+    // A class without models (or fitted with another arity) cannot
+    // be estimated; the first one names the refusal.
+    auto refuse = [&bp](const TemplateInst& t) {
+        if (bp.ok_)
+            bp.why_ = std::string("uncharacterized template class: ") +
+                      templateKindName(t.tkind);
+        bp.ok_ = false;
+    };
 
     // The invariant count features replicate the scalar path's
     // per-point accumulation over doubles; every partial sum is an
@@ -426,13 +434,13 @@ AreaEstimator::makeBatchPlan(const DesignPlan& plan) const
                 probe.tkind = TemplateKind::MetaPipeCtrl;
             const auto* ms = model_.tryModelsFor(probe);
             if (ms == nullptr) {
-                bp.ok_ = false;
+                refuse(probe);
                 continue;
             }
             for (int m = 0; m < 5; ++m) {
                 const auto& ws = (*ms)[size_t(m)].weights();
                 if (ws.size() != k.nf) {
-                    bp.ok_ = false;
+                    refuse(probe);
                     continue;
                 }
                 for (size_t q = 0; q < ws.size(); ++q)

@@ -83,11 +83,11 @@ class AreaBatchPlan
 
     /**
      * False when some slot's template class is uncharacterized (or
-     * fitted with a mismatched arity): batched evaluation must then
-     * fall back to the scalar path, which reports the failure with
-     * per-point diagnostics instead of throwing mid-batch.
+     * fitted with a mismatched arity): the design cannot be
+     * evaluated, and why() names the first such class.
      */
     bool ok() const { return ok_; }
+    const std::string& why() const { return why_; }
 
     const DesignPlan* plan() const { return plan_; }
 
@@ -140,6 +140,7 @@ class AreaBatchPlan
     double bitsOverN_ = 0; //!< mean template bit width
     double lutsDenom_ = 1; //!< device LUT capacity (ratio feature)
     bool ok_ = false;
+    std::string why_;
 };
 
 /**
@@ -201,7 +202,7 @@ class AreaEstimator
      * Resolve every template slot of `plan` against the calibrated
      * models. Check ok() before using the result with estimateBatch;
      * a failed plan means the design has an uncharacterized template
-     * class and points must take the scalar path.
+     * class and cannot be estimated.
      */
     AreaBatchPlan makeBatchPlan(const DesignPlan& plan) const;
 

@@ -80,9 +80,8 @@ class AreaModel
      * The class's fitted 5-model bundle (after the kind-wide default
      * fallback), or null when the class is uncharacterized. The
      * batched evaluator resolves every slot through this at batch-
-     * plan build time so an uncharacterized class degrades to the
-     * scalar path's per-point diagnostics instead of throwing from
-     * inside a batch kernel.
+     * plan build time, so an uncharacterized class refuses the whole
+     * design up front instead of throwing from inside a batch kernel.
      */
     const std::array<ml::LinearModel, 5>*
     tryModelsFor(const TemplateInst& t) const noexcept;

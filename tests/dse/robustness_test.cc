@@ -308,5 +308,110 @@ TEST(RobustnessTest, EvaluateGuardedReportsStatus)
     EXPECT_FALSE(bad.failReason.empty());
 }
 
+/** The Error diags of a run (warnings excluded). */
+std::vector<Diag>
+errorsOf(const ExploreResult& res)
+{
+    std::vector<Diag> out;
+    for (const Diag& d : res.diags)
+        if (d.severity == DiagSeverity::Error)
+            out.push_back(d);
+    return out;
+}
+
+/**
+ * A graph that cannot be evaluated at all is refused before round 0:
+ * exactly one Error diag at the "plan" stage, no point evaluated,
+ * serially and threaded.
+ */
+void
+expectRefusedBeforeRoundZero(const Explorer& ex, const Graph& g,
+                             const std::string& reason)
+{
+    for (int threads : {1, 4}) {
+        ExploreConfig cfg;
+        cfg.maxPoints = 200;
+        cfg.threads = threads;
+        auto res = ex.explore(g, cfg);
+        const std::string at = "threads=" + std::to_string(threads);
+        EXPECT_EQ(res.stats.evaluated, 0u) << at;
+        EXPECT_EQ(res.stats.failed, 0u) << at;
+        EXPECT_TRUE(res.pareto.empty()) << at;
+        auto errors = errorsOf(res);
+        ASSERT_EQ(errors.size(), 1u) << at;
+        EXPECT_EQ(errors[0].stage, "plan") << at;
+        EXPECT_EQ(errors[0].pointIndex, -1) << at;
+        EXPECT_NE(errors[0].message.find(reason), std::string::npos)
+            << at << ": " << errors[0].message;
+    }
+}
+
+TEST(RobustnessTest, GraphFailingValidationIsOneDiagNotACrash)
+{
+    // Plan compilation assumes a rooted graph: validation runs first
+    // and turns a root-less one into the plan-stage diag.
+    Design d = apps::buildGda({9600, 96});
+    d.graph().root = kNoNode;
+    expectRefusedBeforeRoundZero(explorer(), d.graph(), "accel");
+
+    DesignPoint p;
+    p.binding = d.params().defaults();
+    Status s = explorer().evaluateGuarded(d.graph(), p);
+    EXPECT_FALSE(s.ok());
+    EXPECT_EQ(s.diag().stage, "plan");
+    EXPECT_TRUE(p.failed);
+    EXPECT_FALSE(p.valid);
+    EXPECT_EQ(p.failStage, "plan");
+    EXPECT_THROW(explorer().evaluate(d.graph(), p.binding), FatalError);
+}
+
+TEST(RobustnessTest, UncharacterizedTemplateClassIsOneDiag)
+{
+    // Reload the shared calibration with every BramInst model
+    // dropped: a design with scratchpads cannot be estimated.
+    TemplateInst bram;
+    bram.tkind = TemplateKind::BramInst;
+    const std::string drop =
+        "class " + std::to_string(est::AreaModel::classKey(bram));
+    std::stringstream in, out;
+    est::calibratedEstimator().save(in);
+    std::string line;
+    int models = -1; // model headers left to skip; -1 = not skipping
+    while (std::getline(in, line)) {
+        if (line == drop) {
+            models = 5;
+            continue;
+        }
+        if (models >= 0) {
+            if (line.rfind("# dhdl-model", 0) == 0)
+                --models;
+            if (models >= 0 && line.rfind("class ", 0) != 0)
+                continue;
+            models = -1;
+        }
+        if (line.rfind("area_model ", 0) == 0) {
+            std::istringstream hdr(line.substr(11));
+            size_t count = 0;
+            std::string version;
+            hdr >> count >> version;
+            line = "area_model " + std::to_string(count - 1) + " " +
+                   version;
+        }
+        out << line << "\n";
+    }
+    est::AreaEstimator partial(fpga::Device::maia(), out);
+    est::RuntimeEstimator rt;
+    Explorer ex(partial, rt);
+
+    Design d = apps::buildGda({9600, 96});
+    expectRefusedBeforeRoundZero(ex, d.graph(),
+                                 "uncharacterized template class: "
+                                 "BramInst");
+    DesignPoint p;
+    p.binding = d.params().defaults();
+    EXPECT_FALSE(ex.evaluateGuarded(d.graph(), p).ok());
+    EXPECT_EQ(p.failStage, "plan");
+}
+
 } // namespace
 } // namespace dhdl::dse

@@ -153,7 +153,7 @@ TEST(StrategyTest, FeatureVectorIsDeterministicAndSized)
     ParamSpace space(d.graph());
     auto plan = Evaluator::tryCompile(d.graph());
     ASSERT_NE(plan, nullptr);
-    FeatureExtractor fx(space, plan.get());
+    FeatureExtractor fx(space, *plan);
     EXPECT_EQ(fx.count(), space.legalValues().size() + 6);
     auto b = space.sample(1, 5).at(0);
     auto f1 = fx.features(b);

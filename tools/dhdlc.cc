@@ -119,7 +119,6 @@ struct Args {
     int top = 10;
     std::string out = ".";
     int threads = 1;
-    int batch = -1; //!< -1 keeps the ExploreConfig default; 0 = scalar.
     double timeBudget = 0;
     std::string checkpoint;
     bool resume = false;
@@ -182,7 +181,6 @@ flagTable()
         {"--top", "K", num(&Args::top)},
         {"--out", "DIR", str(&Args::out)},
         {"--threads", "T", num(&Args::threads)},
-        {"--batch", "B", num(&Args::batch)},
         {"--time-budget", "SEC", fnum(&Args::timeBudget)},
         {"--seed", "SEED", lnum(&Args::seed)},
         {"--checkpoint", "FILE", str(&Args::checkpoint)},
@@ -319,8 +317,6 @@ makeConfig(const Args& args)
     dse::ExploreConfig cfg;
     cfg.maxPoints = args.points;
     cfg.threads = args.threads;
-    if (args.batch >= 0)
-        cfg.batchSize = args.batch;
     cfg.timeBudgetSeconds = args.timeBudget;
     cfg.checkpointPath = args.checkpoint;
     cfg.resume = args.resume;
@@ -508,10 +504,6 @@ cmdSupervise(const Args& args)
         if (args.seed >= 0) {
             t.argv.push_back("--seed");
             t.argv.push_back(std::to_string(args.seed));
-        }
-        if (args.batch >= 0) {
-            t.argv.push_back("--batch");
-            t.argv.push_back(std::to_string(args.batch));
         }
         if (args.checkpointEvery > 0) {
             t.argv.push_back("--checkpoint-every");
@@ -738,8 +730,6 @@ cmdSubmit(const Args& args)
         cfg.set("seed", args.seed);
     if (args.threads > 1)
         cfg.set("threads", args.threads);
-    if (args.batch >= 0)
-        cfg.set("batch", args.batch);
     if (args.timeBudget > 0)
         cfg.set("time_budget", args.timeBudget);
     if (!args.strategy.empty())
