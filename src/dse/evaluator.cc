@@ -1,7 +1,7 @@
 #include "dse/evaluator.hh"
 
+#include <charconv>
 #include <chrono>
-#include <sstream>
 
 #include "core/validate.hh"
 #include "obs/metrics.hh"
@@ -12,15 +12,19 @@ namespace dhdl::dse {
 std::string
 renderBinding(const Graph& g, const ParamBinding& b)
 {
-    std::ostringstream os;
+    std::string out;
+    char buf[24];
     for (size_t i = 0; i < b.values.size(); ++i) {
         if (i)
-            os << " ";
-        if (i < g.params().size())
-            os << g.params()[ParamId(i)].name << "=";
-        os << b.values[i];
+            out += ' ';
+        if (i < g.params().size()) {
+            out += g.params()[ParamId(i)].name;
+            out += '=';
+        }
+        out.append(buf,
+                   std::to_chars(buf, buf + sizeof buf, b.values[i]).ptr);
     }
-    return os.str();
+    return out;
 }
 
 void

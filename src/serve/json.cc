@@ -1,13 +1,13 @@
 #include "serve/json.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 namespace dhdl::serve {
 
 Json&
-Json::set(const std::string& key, Json v)
+Json::set(std::string key, Json v)
 {
     kind_ = Kind::Object;
     for (auto& [k, val] : members_) {
@@ -16,7 +16,7 @@ Json::set(const std::string& key, Json v)
             return *this;
         }
     }
-    members_.emplace_back(key, std::move(v));
+    members_.emplace_back(std::move(key), std::move(v));
     return *this;
 }
 
@@ -34,11 +34,20 @@ Json::find(const std::string& key) const
 
 namespace {
 
+/** Append `s` as a quoted JSON string: runs of bytes that need no
+ *  escape are copied in bulk, control bytes become \u00XX. */
 void
-escapeTo(std::string& out, const std::string& s)
+escapeTo(std::string& out, std::string_view s)
 {
+    static constexpr char kHex[] = "0123456789abcdef";
     out += '"';
-    for (char c : s) {
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        const uint8_t c = uint8_t(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
         case '"':
             out += "\\\"";
@@ -55,16 +64,14 @@ escapeTo(std::string& out, const std::string& s)
         case '\t':
             out += "\\t";
             break;
-        default:
-            if (uint8_t(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+        default: {
+            const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xF]};
+            out.append(esc, sizeof esc);
+        }
         }
     }
+    out.append(s.data() + run, s.size() - run);
     out += '"';
 }
 
@@ -81,23 +88,23 @@ Json::renderTo(std::string& out) const
         out += bool_ ? "true" : "false";
         return;
     case Kind::Int: {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%lld",
-                      static_cast<long long>(int_));
-        out += buf;
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, int_).ptr);
         return;
     }
     case Kind::Double: {
-        // %.17g round-trips every finite double through strtod, so
+        // 17 significant digits ("%.17g", which to_chars reproduces
+        // byte for byte) round-trip every finite double, so
         // parse(render(v)) == v and re-rendering is byte-stable.
         // Non-finite values have no JSON spelling; emit null.
         if (!std::isfinite(dbl_)) {
             out += "null";
             return;
         }
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", dbl_);
-        out += buf;
+        char buf[32];
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, dbl_,
+                                      std::chars_format::general, 17)
+                            .ptr);
         return;
     }
     case Kind::String:
@@ -136,37 +143,131 @@ Json::render() const
 
 namespace {
 
-/** Recursive-descent parser over a bounded view; never throws. */
-class Parser
+/**
+ * True when the decimal token [p, last), which from_chars matched
+ * whole but found out of double range, is below 1 in magnitude: an
+ * underflow rather than an overflow. Its value is 0.d1d2... x
+ * 10^(e10 + exponent) with d1 the first nonzero digit, and a range
+ * error only happens far from 1, so the sign of that power decides.
+ */
+bool
+underflows(const char* p, const char* last)
+{
+    if (*p == '-')
+        ++p;
+    int64_t e10 = 0;
+    bool lead = false, frac = false;
+    for (; p != last && *p != 'e' && *p != 'E'; ++p) {
+        if (*p == '.') {
+            frac = true;
+            continue;
+        }
+        lead = lead || *p != '0';
+        if (lead && !frac)
+            ++e10; // An integer digit from the first nonzero on.
+        else if (!lead && frac)
+            --e10; // A fraction zero before the first nonzero.
+    }
+    int64_t exp = 0;
+    bool neg = false;
+    if (p != last) {
+        ++p; // 'e' or 'E'
+        if (p != last && (*p == '+' || *p == '-'))
+            neg = *p++ == '-';
+        for (; p != last; ++p)
+            exp = std::min<int64_t>(exp * 10 + (*p - '0'),
+                                    int64_t(1) << 40);
+    }
+    return e10 + (neg ? -exp : exp) <= 0;
+}
+
+/**
+ * strtod's verdict on a whole number token, with from_chars: accept
+ * when the entire token converts to a finite double. strtod also
+ * takes a leading '+', and on a range error returns +-HUGE_VAL
+ * (rejected here as non-finite) or, on underflow, +-0.
+ */
+bool
+wholeDouble(const char* first, const char* last, double& out)
+{
+    if (first != last && *first == '+') {
+        ++first;
+        if (first != last && *first == '-')
+            return false;
+    }
+    const auto [end, ec] = std::from_chars(first, last, out);
+    if (end != last)
+        return false;
+    if (ec == std::errc())
+        return std::isfinite(out);
+    if (ec != std::errc::result_out_of_range || !underflows(first, last))
+        return false;
+    out = *first == '-' ? -0.0 : 0.0;
+    return true;
+}
+
+void
+appendUtf8(std::string& out, uint32_t cp)
+{
+    if (cp < 0x80) {
+        out += char(cp);
+    } else if (cp < 0x800) {
+        out += char(0xC0 | (cp >> 6));
+        out += char(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+        out += char(0xE0 | (cp >> 12));
+        out += char(0x80 | ((cp >> 6) & 0x3F));
+        out += char(0x80 | (cp & 0x3F));
+    } else {
+        out += char(0xF0 | (cp >> 18));
+        out += char(0x80 | ((cp >> 12) & 0x3F));
+        out += char(0x80 | ((cp >> 6) & 0x3F));
+        out += char(0x80 | (cp & 0x3F));
+    }
+}
+
+} // namespace
+
+/**
+ * Recursive-descent parser over a bounded view; never throws. It
+ * writes values in place, and collects the elements of an open array
+ * or object on a stack shared by all depths, so each container's
+ * storage is allocated once, at its final size.
+ */
+class JsonParser
 {
   public:
-    Parser(std::string_view text, const JsonLimits& limits)
+    JsonParser(std::string_view text, const JsonLimits& limits)
         : text_(text), limits_(limits) {}
 
     Status
     parse(Json& out)
     {
+        out = Json();
         if (text_.size() > limits_.maxBytes)
-            return fail(0, "input exceeds size cap");
-        Status st = value(out, 0);
-        if (!st.ok())
-            return st;
-        skipWs();
-        if (pos_ != text_.size())
-            return fail(pos_, "trailing bytes after document");
-        return Status();
+            fail(0, "input exceeds size cap");
+        else if (value(out, 0)) {
+            skipWs();
+            if (pos_ == text_.size())
+                return Status();
+            fail(pos_, "trailing bytes after document");
+        }
+        return std::move(err_);
     }
 
   private:
-    static Status
-    fail(size_t at, const std::string& what)
+    /** Record the first failure; always false. */
+    bool
+    fail(size_t at, const char* what)
     {
         Diag d;
         d.code = DiagCode::ParseError;
         d.severity = DiagSeverity::Error;
         d.stage = "json";
-        d.message = what + " (byte " + std::to_string(at) + ")";
-        return Status::error(std::move(d));
+        d.message = std::string(what) + " (byte " +
+                    std::to_string(at) + ")";
+        err_ = Status::error(std::move(d));
+        return false;
     }
 
     void
@@ -191,19 +292,15 @@ class Parser
     }
 
     bool
-    literal(const char* word)
+    literal(std::string_view word)
     {
-        size_t n = 0;
-        while (word[n])
-            ++n;
-        if (text_.size() - pos_ < n ||
-            text_.compare(pos_, n, word) != 0)
+        if (text_.substr(pos_, word.size()) != word)
             return false;
-        pos_ += n;
+        pos_ += word.size();
         return true;
     }
 
-    Status
+    bool
     value(Json& out, int depth)
     {
         if (depth > limits_.maxDepth)
@@ -211,110 +308,120 @@ class Parser
         skipWs();
         if (pos_ >= text_.size())
             return fail(pos_, "unexpected end of input");
-        char c = text_[pos_];
+        const char c = text_[pos_];
         if (c == '{')
             return object(out, depth);
         if (c == '[')
             return array(out, depth);
         if (c == '"') {
-            std::string s;
-            Status st = string(s);
-            if (!st.ok())
-                return st;
-            out = Json(std::move(s));
-            return Status();
+            out.kind_ = Json::Kind::String;
+            return string(out.str_);
         }
-        if (literal("true")) {
-            out = Json(true);
-            return Status();
+        if (literal("true") || literal("false")) {
+            out.kind_ = Json::Kind::Bool;
+            out.bool_ = c == 't';
+            return true;
         }
-        if (literal("false")) {
-            out = Json(false);
-            return Status();
-        }
-        if (literal("null")) {
-            out = Json();
-            return Status();
-        }
+        if (literal("null"))
+            return true;
         return number(out);
     }
 
-    Status
+    bool
     object(Json& out, int depth)
     {
         consume('{');
-        out = Json::object();
+        out.kind_ = Json::Kind::Object;
+        const size_t base = members_.size();
         skipWs();
-        if (consume('}'))
-            return Status();
-        while (true) {
+        bool ok = consume('}');
+        while (!ok) {
             skipWs();
             if (pos_ >= text_.size() || text_[pos_] != '"')
                 return fail(pos_, "expected object key");
             std::string key;
-            Status st = string(key);
-            if (!st.ok())
-                return st;
+            if (!string(key))
+                return false;
             skipWs();
             if (!consume(':'))
                 return fail(pos_, "expected ':' after key");
             Json v;
-            st = value(v, depth + 1);
-            if (!st.ok())
-                return st;
-            out.set(key, std::move(v));
+            if (!value(v, depth + 1))
+                return false;
+            // A repeated key replaces the value in place, like set().
+            auto dup = std::find_if(
+                members_.begin() + ptrdiff_t(base), members_.end(),
+                [&](const auto& m) { return m.first == key; });
+            if (dup != members_.end())
+                dup->second = std::move(v);
+            else
+                members_.emplace_back(std::move(key), std::move(v));
             skipWs();
             if (consume(','))
                 continue;
-            if (consume('}'))
-                return Status();
-            return fail(pos_, "expected ',' or '}' in object");
+            if (!consume('}'))
+                return fail(pos_, "expected ',' or '}' in object");
+            ok = true;
         }
+        out.members_.assign(
+            std::make_move_iterator(members_.begin() + ptrdiff_t(base)),
+            std::make_move_iterator(members_.end()));
+        members_.resize(base);
+        return true;
     }
 
-    Status
+    bool
     array(Json& out, int depth)
     {
         consume('[');
-        out = Json::array();
+        out.kind_ = Json::Kind::Array;
+        const size_t base = items_.size();
         skipWs();
-        if (consume(']'))
-            return Status();
-        while (true) {
+        bool ok = consume(']');
+        while (!ok) {
             Json v;
-            Status st = value(v, depth + 1);
-            if (!st.ok())
-                return st;
-            out.push(std::move(v));
+            if (!value(v, depth + 1))
+                return false;
+            items_.push_back(std::move(v));
             skipWs();
             if (consume(','))
                 continue;
-            if (consume(']'))
-                return Status();
-            return fail(pos_, "expected ',' or ']' in array");
+            if (!consume(']'))
+                return fail(pos_, "expected ',' or ']' in array");
+            ok = true;
         }
+        out.items_.assign(
+            std::make_move_iterator(items_.begin() + ptrdiff_t(base)),
+            std::make_move_iterator(items_.end()));
+        items_.resize(base);
+        return true;
     }
 
-    Status
+    bool
     string(std::string& out)
     {
         const size_t start = pos_;
         consume('"');
-        while (pos_ < text_.size()) {
-            char c = text_[pos_++];
-            if (c == '"')
-                return Status();
-            if (uint8_t(c) < 0x20)
-                return fail(pos_ - 1,
-                            "unescaped control byte in string");
-            if (c != '\\') {
-                out += c;
-                continue;
+        while (true) {
+            // Copy the run of bytes that need no decoding in one go.
+            const size_t run = pos_;
+            while (pos_ < text_.size()) {
+                const uint8_t c = uint8_t(text_[pos_]);
+                if (c == '"' || c == '\\' || c < 0x20)
+                    break;
+                ++pos_;
             }
+            out.append(text_.data() + run, pos_ - run);
             if (pos_ >= text_.size())
                 break;
-            char e = text_[pos_++];
-            switch (e) {
+            const char c = text_[pos_++];
+            if (c == '"')
+                return true;
+            if (c != '\\')
+                return fail(pos_ - 1, "unescaped control byte in string");
+            if (pos_ >= text_.size())
+                break;
+            switch (text_[pos_++]) {
             case '"':
                 out += '"';
                 break;
@@ -391,33 +498,15 @@ class Parser
         return true;
     }
 
-    static void
-    appendUtf8(std::string& out, uint32_t cp)
-    {
-        if (cp < 0x80) {
-            out += char(cp);
-        } else if (cp < 0x800) {
-            out += char(0xC0 | (cp >> 6));
-            out += char(0x80 | (cp & 0x3F));
-        } else if (cp < 0x10000) {
-            out += char(0xE0 | (cp >> 12));
-            out += char(0x80 | ((cp >> 6) & 0x3F));
-            out += char(0x80 | (cp & 0x3F));
-        } else {
-            out += char(0xF0 | (cp >> 18));
-            out += char(0x80 | ((cp >> 12) & 0x3F));
-            out += char(0x80 | ((cp >> 6) & 0x3F));
-            out += char(0x80 | (cp & 0x3F));
-        }
-    }
-
-    Status
+    /** A token of sign, digits, '.', 'e' and signs, converted from
+     *  the view itself: exactly strtoll's result when the whole
+     *  token is an in-range integer, else exactly strtod's. */
+    bool
     number(Json& out)
     {
         const size_t start = pos_;
         bool integral = true;
-        if (consume('-')) {
-        }
+        consume('-');
         while (pos_ < text_.size()) {
             char c = text_[pos_];
             if (c >= '0' && c <= '9') {
@@ -433,36 +522,36 @@ class Parser
         if (pos_ == start ||
             (pos_ == start + 1 && text_[start] == '-'))
             return fail(start, "expected a value");
-        const std::string tok(text_.substr(start, pos_ - start));
-        errno = 0;
-        char* end = nullptr;
+        const char* first = text_.data() + start;
+        const char* last = text_.data() + pos_;
         if (integral) {
-            const long long v = std::strtoll(tok.c_str(), &end, 10);
-            if (end == tok.c_str() + tok.size() && errno != ERANGE) {
-                out = Json(int64_t(v));
-                return Status();
+            const auto [end, ec] = std::from_chars(first, last, out.int_);
+            if (ec == std::errc() && end == last) {
+                out.kind_ = Json::Kind::Int;
+                return true;
             }
             // Out-of-range integers fall through to double.
         }
-        errno = 0;
-        const double d = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size() || !std::isfinite(d))
+        if (!wholeDouble(first, last, out.dbl_))
             return fail(start, "malformed number");
-        out = Json(d);
-        return Status();
+        out.kind_ = Json::Kind::Double;
+        return true;
     }
 
     std::string_view text_;
     const JsonLimits& limits_;
     size_t pos_ = 0;
+    Status err_;
+    /** Elements of the arrays and objects still open, outermost
+     *  first; each container takes its tail when it closes. */
+    std::vector<Json> items_;
+    std::vector<std::pair<std::string, Json>> members_;
 };
-
-} // namespace
 
 Status
 parseJson(std::string_view text, Json& out, const JsonLimits& limits)
 {
-    Parser p(text, limits);
+    JsonParser p(text, limits);
     return p.parse(out);
 }
 

@@ -7,10 +7,12 @@
  * every rejection into a structured ParseError Diag.
  *
  * Rendering is deterministic: object members keep insertion order,
- * numbers render as exact integers when integral and as shortest
- * round-trip ("%.17g") doubles otherwise, and no whitespace is
- * emitted. parse(render(v)) reproduces v exactly — the serving
- * byte-identity tests lean on this round trip.
+ * numbers render as exact integers when integral and otherwise as
+ * doubles with 17 significant digits (the bytes of printf "%.17g",
+ * produced by std::to_chars), and no whitespace is emitted.
+ * parse(render(v)) reproduces v exactly — the serving byte-identity
+ * tests lean on this round trip. Neither direction goes through
+ * printf, strtod or a stream.
  */
 
 #ifndef DHDL_SERVE_JSON_HH
@@ -125,7 +127,7 @@ class Json
 
     /** Set an object member (turns a Null into an Object); keeps
      *  insertion order, replaces an existing key in place. */
-    Json& set(const std::string& key, Json v);
+    Json& set(std::string key, Json v);
 
     /** Member by key; nullptr when absent or not an object. */
     const Json* find(const std::string& key) const;
@@ -145,6 +147,8 @@ class Json
     void renderTo(std::string& out) const;
 
   private:
+    friend class JsonParser; // Builds values in place.
+
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     int64_t int_ = 0;

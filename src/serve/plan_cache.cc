@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "core/checksum.hh"
 #include "core/printer.hh"
@@ -23,6 +24,18 @@ compileInto(CachedPlan& entry)
             .count();
 }
 
+/** Alias name of a registry design at a scale: the name followed by
+ *  the scale's 8 bytes, so distinct pairs never share a name. */
+std::string
+aliasName(const std::string& design, double scale)
+{
+    std::string name = design;
+    char bits[sizeof scale];
+    std::memcpy(bits, &scale, sizeof scale);
+    name.append(bits, sizeof bits);
+    return name;
+}
+
 } // namespace
 
 PlanCache::PlanCache(size_t capacity)
@@ -34,6 +47,56 @@ PlanCache::touch(Slot& slot, uint64_t key)
     lru_.erase(slot.lru);
     lru_.push_front(key);
     slot.lru = lru_.begin();
+}
+
+void
+PlanCache::dropAlias(const std::string& name, uint64_t key)
+{
+    auto a = aliases_.find(name);
+    if (a != aliases_.end() && a->second == key)
+        aliases_.erase(a);
+}
+
+std::shared_ptr<const CachedPlan>
+PlanCache::lookupAlias(const std::string& design, double scale)
+{
+    static const obs::Counter cHit("serve.cache.hit");
+
+    const std::string name = aliasName(design, scale);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto a = aliases_.find(name);
+    if (a == aliases_.end())
+        return nullptr;
+    auto it = map_.find(a->second);
+    if (it == map_.end() || !it->second.entry)
+        return nullptr;
+    touch(it->second, a->second);
+    ++hits_;
+    cHit.add(1);
+    return it->second.entry;
+}
+
+void
+PlanCache::addAlias(const std::string& design, double scale,
+                    const std::shared_ptr<const CachedPlan>& entry)
+{
+    std::string name = aliasName(design, scale);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(entry->key);
+    if (it == map_.end() || it->second.entry != entry)
+        return;
+    auto [a, fresh] = aliases_.try_emplace(name, entry->key);
+    if (!fresh) {
+        if (a->second == entry->key)
+            return;
+        a->second = entry->key;
+    }
+    std::vector<std::string>& names = it->second.aliases;
+    names.push_back(std::move(name));
+    if (names.size() > kAliasesPerEntry) {
+        dropAlias(names.front(), entry->key);
+        names.erase(names.begin());
+    }
 }
 
 std::shared_ptr<const CachedPlan>
@@ -90,7 +153,7 @@ PlanCache::acquire(Graph g, bool* hit)
     // outside the lock.
     ++misses_;
     lru_.push_front(key);
-    map_[key] = Slot{nullptr, lru_.begin()};
+    map_[key] = Slot{nullptr, lru_.begin(), {}};
     lock.unlock();
     cMiss.add(1);
 
@@ -115,6 +178,8 @@ PlanCache::acquire(Graph g, bool* hit)
                 v->second.entry == entry)
                 continue;
             lru_.erase(std::next(r).base());
+            for (const std::string& name : v->second.aliases)
+                dropAlias(name, v->first);
             map_.erase(v);
             ++evictions_;
             cEvict.add(1);

@@ -12,12 +12,23 @@
  * hit, so an FNV collision degrades to an uncached compile, never to
  * serving the wrong plan.
  *
- * Concurrency: acquire() is thread-safe. Concurrent requests for the
- * same key compile once — the first requester builds while the rest
- * wait on the entry — and all receive the identical CachedPlan (and
- * thus the identical DesignPlan pointer), which the 8-thread reuse
- * test asserts. Entries are handed out as shared_ptr, so LRU
- * eviction never invalidates a plan a running job still holds.
+ * Named designs: a submission naming a registry design and a scale
+ * would rebuild the graph, run the passes and emit the IR only to
+ * find the same key again. So the cache also keeps aliases from
+ * (design name, exact bits of the scale) to the key that name last
+ * resolved to. An alias lives only as long as its entry: eviction
+ * drops it, and an entry keeps at most kAliasesPerEntry of them, so
+ * the alias map is bounded by the capacity. A lookup through a live
+ * alias is a hit like acquire()'s; a missing or dropped one sends
+ * the caller down the build-and-acquire path.
+ *
+ * Concurrency: acquire() and the alias calls are thread-safe.
+ * Concurrent requests for the same key compile once — the first
+ * requester builds while the rest wait on the entry — and all
+ * receive the identical CachedPlan (and thus the identical
+ * DesignPlan pointer), which the 8-thread reuse test asserts.
+ * Entries are handed out as shared_ptr, so LRU eviction never
+ * invalidates a plan a running job still holds.
  */
 
 #ifndef DHDL_SERVE_PLAN_CACHE_HH
@@ -27,7 +38,9 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/graph.hh"
 #include "dse/evaluator.hh"
@@ -64,6 +77,25 @@ class PlanCache
     std::shared_ptr<const CachedPlan> acquire(Graph g,
                                               bool* hit = nullptr);
 
+    /**
+     * The resident entry `design` at `scale` resolved to before (see
+     * addAlias()), touched and counted as a hit exactly like
+     * acquire(). Null when no live alias exists.
+     */
+    std::shared_ptr<const CachedPlan> lookupAlias(const std::string& design,
+                                                  double scale);
+
+    /**
+     * Record that the registry design `design` built at `scale`
+     * canonicalizes to `entry`. A no-op unless `entry` is resident
+     * (not an FNV-collision copy, not already evicted).
+     */
+    void addAlias(const std::string& design, double scale,
+                  const std::shared_ptr<const CachedPlan>& entry);
+
+    /** Aliases one entry keeps; more drop the oldest. */
+    static constexpr size_t kAliasesPerEntry = 4;
+
     struct Stats {
         uint64_t hits = 0;
         uint64_t misses = 0;
@@ -78,14 +110,20 @@ class PlanCache
     struct Slot {
         std::shared_ptr<CachedPlan> entry; //!< Null while building.
         std::list<uint64_t>::iterator lru;
+        /** Alias names recorded for this entry, oldest first. */
+        std::vector<std::string> aliases;
     };
 
     void touch(Slot& slot, uint64_t key);
+    /** Erase alias `name` if it still points at `key`. */
+    void dropAlias(const std::string& name, uint64_t key);
 
     mutable std::mutex mu_;
     std::condition_variable builtCv_;
     std::unordered_map<uint64_t, Slot> map_;
     std::list<uint64_t> lru_; //!< Front = most recently used.
+    /** Alias name (design name + the scale's bits) -> key. */
+    std::unordered_map<std::string, uint64_t> aliases_;
     size_t cap_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

@@ -415,6 +415,22 @@ Server::handleSubmit(int fd, const Json& req)
     ecfg.maxPoints = 2000;
     ecfg.threads = cfg_.jobThreads;
     if (const Json* c = req.find("config"); c && c->isObject()) {
+        // A misspelt or retired field would otherwise change nothing
+        // and say nothing.
+        static const char* const kConfigKeys[] = {
+            "points",      "seed",           "threads",
+            "eval_budget", "time_budget",    "initial_points",
+            "max_rounds",  "strategy"};
+        for (const auto& [key, value] : c->members()) {
+            if (std::find(std::begin(kConfigKeys), std::end(kConfigKeys),
+                          key) == std::end(kConfigKeys))
+                return errorResponse(
+                    DiagCode::UserError,
+                    "unknown config key \"" + key +
+                        "\" (points|seed|threads|eval_budget|"
+                        "time_budget|initial_points|max_rounds|"
+                        "strategy)");
+        }
         if (const Json* v = c->find("points"))
             ecfg.maxPoints = int(v->asInt(ecfg.maxPoints));
         if (const Json* v = c->find("seed"))
@@ -498,45 +514,55 @@ Server::handleSubmit(int fd, const Json& req)
 
     // Load the design: inline `.dhdl` text or a registry name. The
     // standard pass pipeline runs on every load (exactly like dhdlc),
-    // so the cache keys canonical post-pass IR.
-    std::optional<Graph> g;
+    // so the cache keys canonical post-pass IR. A registry name the
+    // cache has resolved before skips the load altogether.
     const double scale =
         req.find("scale") ? req.find("scale")->asDouble(1.0) : 1.0;
-    if (const Json* ir = req.find("ir"); ir && ir->isString()) {
-        ParseResult pr = parseIR(ir->asString());
-        if (!pr.ok()) {
-            rollback();
-            return errorResponse(pr.status.diag());
-        }
-        g = std::move(*pr.graph);
-    } else if (const Json* d = req.find("design");
-               d && d->isString()) {
-        try {
-            Design design = apps::buildApp(d->asString(), scale);
-            g = std::move(design.graph());
-        } catch (const std::exception& e) {
-            rollback();
-            return errorResponse(DiagCode::UserError, e.what(),
-                                 "load");
-        }
+    const Json* ir = req.find("ir");
+    const Json* named = req.find("design");
+    if (ir && !ir->isString())
+        ir = nullptr;
+    if (ir || (named && !named->isString()))
+        named = nullptr;
+    bool hit = false;
+    std::shared_ptr<const CachedPlan> design =
+        named ? cache_.lookupAlias(named->asString(), scale) : nullptr;
+    if (design) {
+        hit = true;
     } else {
-        rollback();
-        return errorResponse(DiagCode::ParseError,
-                             "submit needs \"design\" or \"ir\"");
-    }
-    {
+        std::optional<Graph> g;
+        if (ir) {
+            ParseResult pr = parseIR(ir->asString());
+            if (!pr.ok()) {
+                rollback();
+                return errorResponse(pr.status.diag());
+            }
+            g = std::move(*pr.graph);
+        } else if (named) {
+            try {
+                Design built = apps::buildApp(named->asString(), scale);
+                g = std::move(built.graph());
+            } catch (const std::exception& e) {
+                rollback();
+                return errorResponse(DiagCode::UserError, e.what(),
+                                     "load");
+            }
+        } else {
+            rollback();
+            return errorResponse(DiagCode::ParseError,
+                                 "submit needs \"design\" or \"ir\"");
+        }
         DiagSink psink;
         PassContext ctx(psink);
         PassManager pm = standardPasses();
-        Status st = pm.run(*g, ctx);
-        if (!st.ok()) {
+        if (Status st = pm.run(*g, ctx); !st.ok()) {
             rollback();
             return errorResponse(st.diag());
         }
+        design = cache_.acquire(std::move(*g), &hit);
+        if (named)
+            cache_.addAlias(named->asString(), scale, design);
     }
-
-    bool hit = false;
-    auto design = cache_.acquire(std::move(*g), &hit);
 
     auto job = std::make_shared<Job>();
     job->tenant = tenant;
@@ -606,11 +632,12 @@ Server::runJob(std::shared_ptr<Job> j)
             ev.set("front_size", front.size());
             ev.set("front",
                    frontToJson(j->design->graph, pts, front.indices()));
+            std::string line = ev.render();
             std::lock_guard<std::mutex> lk(jobsMu_);
             j->rounds = size_t(rs.round) + 1;
             j->evaluated += rs.evaluated;
             j->frontSize = front.size();
-            j->events.push_back(ev.render());
+            j->events.push_back(std::move(line));
             jobsCv_.notify_all();
         };
         dse::Explorer ex(area_, runtime_);
@@ -640,30 +667,36 @@ Server::runJob(std::shared_ptr<Job> j)
                 .count()));
     }
 
-    std::lock_guard<std::mutex> lk(jobsMu_);
+    // Render the final event before taking the lock: this thread is
+    // the only writer of the job's state, result and error, so it
+    // reads them safely without it.
     Json ev = Json::object();
     ev.set("event", "done");
     ev.set("job", j->id);
     ev.set("state", jobStateName(j->state));
     ev.set("cached", j->cacheHit);
+    if (j->state == JobState::Done || j->state == JobState::Cancelled)
+        ev.set("result", resultToJson(j->design->graph, j->result));
+    else
+        ev.set("error", diagToJson(j->error));
+    std::string line = ev.render();
+
+    std::lock_guard<std::mutex> lk(jobsMu_);
     switch (j->state) {
     case JobState::Done:
         ++counters_.done;
         cDone.add(1);
-        ev.set("result", resultToJson(j->design->graph, j->result));
         break;
     case JobState::Cancelled:
         ++counters_.cancelled;
         cCancelled.add(1);
-        ev.set("result", resultToJson(j->design->graph, j->result));
         break;
     default:
         ++counters_.failed;
         cFailed.add(1);
-        ev.set("error", diagToJson(j->error));
         break;
     }
-    j->events.push_back(ev.render());
+    j->events.push_back(std::move(line));
     j->finished = true;
 
     // Refund the unevaluated remainder of the admission charge so a

@@ -4,16 +4,12 @@
  * (lower_bound semantics: bucket b holds v <= bounds[b]), trace ring
  * buffers wrap by dropping oldest events (and say so), and the
  * Chrome-trace / metrics JSON exports are well-formed — verified by
- * parsing them back with a minimal JSON reader written here, so no
- * external dependency is needed.
+ * parsing them back with the serving protocol's JSON codec.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -23,6 +19,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "serve/json.hh"
 
 namespace dhdl::obs {
 namespace {
@@ -41,228 +38,31 @@ class ScopedEnable
     bool prev_;
 };
 
-// ------------------------------------------------- minimal JSON reader
+// ------------------------------------------------------- JSON reading
 
-/**
- * Tiny recursive-descent JSON parser, just enough to round-trip the
- * exports: objects, arrays, strings (with escapes), numbers, bools,
- * null. Throws std::runtime_error on malformed input.
- */
-struct Json {
-    enum class Kind { Object, Array, String, Number, Bool, Null };
-    Kind kind = Kind::Null;
-    std::map<std::string, std::shared_ptr<Json>> object;
-    std::vector<std::shared_ptr<Json>> array;
-    std::string str;
-    double num = 0;
-    bool boolean = false;
+using serve::Json;
 
-    const Json&
-    at(const std::string& key) const
-    {
-        auto it = object.find(key);
-        if (it == object.end())
-            throw std::runtime_error("missing key " + key);
-        return *it->second;
-    }
-    bool has(const std::string& key) const
-    {
-        return object.count(key) > 0;
-    }
-};
-
-class JsonParser
+/** An export parsed back with the serving codec; a parse error fails
+ *  the test. */
+Json
+parseExport(const std::string& text)
 {
-  public:
-    explicit JsonParser(const std::string& text) : s_(text) {}
+    Json root;
+    const Status st = serve::parseJson(text, root);
+    EXPECT_TRUE(st.ok()) << st.diag().str();
+    return root;
+}
 
-    Json
-    parse()
-    {
-        Json v = value();
-        ws();
-        if (i_ != s_.size())
-            throw std::runtime_error("trailing garbage");
-        return v;
-    }
-
-  private:
-    void
-    ws()
-    {
-        while (i_ < s_.size() && std::isspace((unsigned char)s_[i_]))
-            ++i_;
-    }
-
-    char
-    peek()
-    {
-        ws();
-        if (i_ >= s_.size())
-            throw std::runtime_error("unexpected end");
-        return s_[i_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            throw std::runtime_error(std::string("expected ") + c);
-        ++i_;
-    }
-
-    Json
-    value()
-    {
-        switch (peek()) {
-        case '{':
-            return object();
-        case '[':
-            return array();
-        case '"': {
-            Json v;
-            v.kind = Json::Kind::String;
-            v.str = string();
-            return v;
-        }
-        case 't':
-        case 'f':
-            return boolean();
-        case 'n':
-            literal("null");
-            return Json{};
-        default:
-            return number();
-        }
-    }
-
-    Json
-    object()
-    {
-        Json v;
-        v.kind = Json::Kind::Object;
-        expect('{');
-        if (peek() == '}') {
-            ++i_;
-            return v;
-        }
-        for (;;) {
-            std::string key = string();
-            expect(':');
-            v.object[key] = std::make_shared<Json>(value());
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    Json
-    array()
-    {
-        Json v;
-        v.kind = Json::Kind::Array;
-        expect('[');
-        if (peek() == ']') {
-            ++i_;
-            return v;
-        }
-        for (;;) {
-            v.array.push_back(std::make_shared<Json>(value()));
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string
-    string()
-    {
-        expect('"');
-        std::string out;
-        while (i_ < s_.size() && s_[i_] != '"') {
-            char c = s_[i_++];
-            if (c == '\\') {
-                if (i_ >= s_.size())
-                    throw std::runtime_error("bad escape");
-                char e = s_[i_++];
-                switch (e) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                case 'r': out += '\r'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                case 'u':
-                    if (i_ + 4 > s_.size())
-                        throw std::runtime_error("bad \\u");
-                    out += '?'; // presence is enough for these tests
-                    i_ += 4;
-                    break;
-                default:
-                    throw std::runtime_error("bad escape char");
-                }
-            } else {
-                out += c;
-            }
-        }
-        if (i_ >= s_.size())
-            throw std::runtime_error("unterminated string");
-        ++i_; // closing quote
-        return out;
-    }
-
-    Json
-    number()
-    {
-        size_t start = i_;
-        while (i_ < s_.size() &&
-               (std::isdigit((unsigned char)s_[i_]) || s_[i_] == '-' ||
-                s_[i_] == '+' || s_[i_] == '.' || s_[i_] == 'e' ||
-                s_[i_] == 'E'))
-            ++i_;
-        if (i_ == start)
-            throw std::runtime_error("expected number");
-        Json v;
-        v.kind = Json::Kind::Number;
-        v.num = std::stod(s_.substr(start, i_ - start));
-        return v;
-    }
-
-    Json
-    boolean()
-    {
-        Json v;
-        v.kind = Json::Kind::Bool;
-        if (s_[i_] == 't') {
-            literal("true");
-            v.boolean = true;
-        } else {
-            literal("false");
-        }
-        return v;
-    }
-
-    void
-    literal(const char* word)
-    {
-        for (const char* p = word; *p; ++p) {
-            if (i_ >= s_.size() || s_[i_] != *p)
-                throw std::runtime_error("bad literal");
-            ++i_;
-        }
-    }
-
-    const std::string& s_;
-    size_t i_ = 0;
-};
+/** Member `key` of `j`; a missing one fails the test and reads as
+ *  null. */
+const Json&
+at(const Json& j, const std::string& key)
+{
+    static const Json kMissing;
+    const Json* v = j.find(key);
+    EXPECT_NE(v, nullptr) << "missing key " << key;
+    return v ? *v : kMissing;
+}
 
 // ------------------------------------------------------------- metrics
 
@@ -366,16 +166,16 @@ TEST(ObsMetricsTest, MetricsJsonRoundTrips)
 
     std::ostringstream os;
     snapshotMetrics().writeJson(os);
-    Json root = JsonParser(os.str()).parse();
+    Json root = parseExport(os.str());
 
     EXPECT_DOUBLE_EQ(
-        root.at("counters").at("test.json.counter").num, 5.0);
-    EXPECT_DOUBLE_EQ(root.at("gauges").at("test.json.gauge").num,
-                     -4.0);
-    const Json& h = root.at("histograms").at("test.json.hist");
-    EXPECT_DOUBLE_EQ(h.at("count").num, 1.0);
-    EXPECT_DOUBLE_EQ(h.at("sum").num, 2.0);
-    ASSERT_EQ(h.at("counts").array.size(), 3u);
+        at(at(root, "counters"), "test.json.counter").asDouble(), 5.0);
+    EXPECT_DOUBLE_EQ(
+        at(at(root, "gauges"), "test.json.gauge").asDouble(), -4.0);
+    const Json& h = at(at(root, "histograms"), "test.json.hist");
+    EXPECT_DOUBLE_EQ(at(h, "count").asDouble(), 1.0);
+    EXPECT_DOUBLE_EQ(at(h, "sum").asDouble(), 2.0);
+    ASSERT_EQ(at(h, "counts").items().size(), 3u);
 }
 
 // ------------------------------------------------------------- tracing
@@ -403,17 +203,17 @@ TEST(ObsTraceTest, RingBufferWrapsByDroppingOldest)
     // The export keeps the newest events and reports the loss.
     std::ostringstream os;
     writeChromeTrace(os);
-    Json root = JsonParser(os.str()).parse();
+    Json root = parseExport(os.str());
     EXPECT_DOUBLE_EQ(
-        root.at("otherData").at("droppedEvents").num, 36.0);
+        at(at(root, "otherData"), "droppedEvents").asDouble(), 36.0);
     uint64_t xEvents = 0;
     uint64_t minArg = 1000;
-    for (const auto& e : root.at("traceEvents").array) {
-        if (e->at("ph").str != "X")
+    for (const Json& e : at(root, "traceEvents").items()) {
+        if (at(e, "ph").asString() != "X")
             continue;
         ++xEvents;
         minArg = std::min<uint64_t>(
-            minArg, uint64_t(e->at("args").at("i").num));
+            minArg, uint64_t(at(at(e, "args"), "i").asDouble()));
     }
     EXPECT_EQ(xEvents, 64u);
     EXPECT_EQ(minArg, 36u); // oldest 36 were overwritten
@@ -438,24 +238,24 @@ TEST(ObsTraceTest, ChromeTraceExportIsWellFormed)
 
     std::ostringstream os;
     writeChromeTrace(os);
-    Json root = JsonParser(os.str()).parse();
+    Json root = parseExport(os.str());
 
-    EXPECT_EQ(root.at("displayTimeUnit").str, "ms");
-    ASSERT_EQ(root.at("traceEvents").kind, Json::Kind::Array);
+    EXPECT_EQ(at(root, "displayTimeUnit").asString(), "ms");
+    ASSERT_TRUE(at(root, "traceEvents").isArray());
 
     std::set<std::string> threadNames;
     std::set<std::string> spanNames;
-    for (const auto& e : root.at("traceEvents").array) {
-        const std::string& ph = e->at("ph").str;
+    for (const Json& e : at(root, "traceEvents").items()) {
+        const std::string& ph = at(e, "ph").asString();
         ASSERT_TRUE(ph == "M" || ph == "X") << ph;
         if (ph == "M") {
-            EXPECT_EQ(e->at("name").str, "thread_name");
-            threadNames.insert(e->at("args").at("name").str);
+            EXPECT_EQ(at(e, "name").asString(), "thread_name");
+            threadNames.insert(at(at(e, "args"), "name").asString());
         } else {
-            spanNames.insert(e->at("name").str);
-            EXPECT_EQ(e->at("ts").kind, Json::Kind::Number);
-            EXPECT_EQ(e->at("dur").kind, Json::Kind::Number);
-            EXPECT_EQ(e->at("cat").kind, Json::Kind::String);
+            spanNames.insert(at(e, "name").asString());
+            EXPECT_TRUE(at(e, "ts").isNumber());
+            EXPECT_TRUE(at(e, "dur").isNumber());
+            EXPECT_TRUE(at(e, "cat").isString());
         }
     }
     EXPECT_TRUE(threadNames.count("worker-test"));
@@ -485,13 +285,13 @@ TEST(ObsTraceTest, LongNamesAreTruncatedNotCorrupted)
 
     std::ostringstream os;
     writeChromeTrace(os);
-    Json root = JsonParser(os.str()).parse();
+    Json root = parseExport(os.str());
     bool found = false;
-    for (const auto& e : root.at("traceEvents").array) {
-        if (e->at("ph").str != "X")
+    for (const Json& e : at(root, "traceEvents").items()) {
+        if (at(e, "ph").asString() != "X")
             continue;
         found = true;
-        EXPECT_EQ(e->at("name").str,
+        EXPECT_EQ(at(e, "name").asString(),
                   std::string(kTraceNameCap - 1, 'n'));
     }
     EXPECT_TRUE(found);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <thread>
 #include <vector>
@@ -120,6 +121,53 @@ TEST(PlanCache, LruEvictsOldestButKeepsHandlesAlive)
     EXPECT_FALSE(hit);
     (void)a;
     (void)c;
+}
+
+TEST(PlanCache, AliasResolvesToTheResidentEntryAsAHit)
+{
+    PlanCache cache(4);
+    EXPECT_EQ(cache.lookupAlias("gda", 0.05), nullptr);
+    auto a = cache.acquire(loadDesign("gda", 0.05));
+    cache.addAlias("gda", 0.05, a);
+    EXPECT_EQ(cache.lookupAlias("gda", 0.05), a);
+    auto s = cache.stats();
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.misses, 1u);
+    // Exact names and exact scale bits only.
+    EXPECT_EQ(cache.lookupAlias("gda", std::nextafter(0.05, 1.0)),
+              nullptr);
+    EXPECT_EQ(cache.lookupAlias("gd", 0.05), nullptr);
+    EXPECT_EQ(cache.lookupAlias("kmeans", 0.05), nullptr);
+    EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(PlanCache, EvictionDropsAliases)
+{
+    PlanCache cache(1);
+    auto a = cache.acquire(loadDesign("gda", 0.05));
+    cache.addAlias("gda", 0.05, a);
+    auto b = cache.acquire(loadDesign("kmeans", 0.05)); // evicts gda
+    cache.addAlias("kmeans", 0.05, b);
+    EXPECT_EQ(cache.lookupAlias("gda", 0.05), nullptr);
+    EXPECT_EQ(cache.lookupAlias("kmeans", 0.05), b);
+    // An entry that is no longer resident takes no alias.
+    cache.addAlias("gda", 0.05, a);
+    EXPECT_EQ(cache.lookupAlias("gda", 0.05), nullptr);
+}
+
+TEST(PlanCache, AnEntryKeepsBoundedAliases)
+{
+    PlanCache cache(2);
+    auto a = cache.acquire(loadDesign("gda", 0.05));
+    const size_t names = PlanCache::kAliasesPerEntry + 3;
+    for (size_t i = 0; i < names; ++i)
+        cache.addAlias("name" + std::to_string(i), 0.05, a);
+    // The newest kAliasesPerEntry names survive.
+    for (size_t i = 0; i < names; ++i) {
+        const bool live =
+            cache.lookupAlias("name" + std::to_string(i), 0.05) != nullptr;
+        EXPECT_EQ(live, i + PlanCache::kAliasesPerEntry >= names) << i;
+    }
 }
 
 /**

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <thread>
@@ -70,6 +71,27 @@ submitRequest(const std::string& design, const std::string& tenant,
     req.set("scale", scale);
     req.set("config", std::move(cfg));
     return req;
+}
+
+/** Submit `design` at `scale` and wait for it: the ack's `cached`
+ *  flag and the rendered result. */
+std::pair<bool, std::string>
+submitAndWait(Client& c, const std::string& design, double scale)
+{
+    Json resp;
+    EXPECT_TRUE(
+        c.request(submitRequest(design, "t", scale, 60, 3), resp).ok());
+    const Json* job = resp.find("job");
+    EXPECT_NE(job, nullptr) << resp.render();
+    const bool cached = resp.find("cached") && resp.find("cached")->asBool();
+    Json wait = Json::object();
+    wait.set("op", "result");
+    wait.set("job", job ? job->asInt() : 0);
+    wait.set("wait", true);
+    EXPECT_TRUE(c.request(wait, resp).ok());
+    const Json* result = resp.find("result");
+    EXPECT_NE(result, nullptr) << resp.render();
+    return {cached, result ? result->render() : std::string()};
 }
 
 struct ServerFixture : ::testing::Test {
@@ -275,6 +297,63 @@ TEST_F(ServerFixture, RepeatSubmissionHitsPlanCache)
     EXPECT_EQ(resultOf(first), resultOf(second));
 }
 
+/**
+ * A named resubmission resolves through the plan cache's alias
+ * without a rebuild: a hit with the same bytes. The alias is keyed
+ * by the exact bits of the scale, so the neighbouring double misses
+ * the alias and still hits the cache by content, as before.
+ */
+TEST_F(ServerFixture, NamedResubmitHitsThroughAliasWithIdenticalBytes)
+{
+    startServer();
+    Client c = connect();
+    const auto first = submitAndWait(c, "gda", 0.05);
+    const auto second = submitAndWait(c, "gda", 0.05);
+    EXPECT_FALSE(first.first);
+    EXPECT_TRUE(second.first);
+    EXPECT_EQ(second.second, first.second);
+    EXPECT_EQ(first.second, offlineResultJson("gda", 0.05, 60, 3));
+    const double near = std::nextafter(0.05, 1.0);
+    const auto nearby = submitAndWait(c, "gda", near);
+    EXPECT_TRUE(nearby.first);
+    EXPECT_EQ(nearby.second, offlineResultJson("gda", near, 60, 3));
+    const auto s = server->cacheStats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, 2u);
+}
+
+/**
+ * Capacity 1, two designs: each submission evicts the other, so the
+ * alias goes stale and the resubmission takes the build path. Its
+ * result is byte-identical and the counters are what a cache without
+ * aliases counts.
+ */
+TEST_F(ServerFixture, EvictedAliasRebuildsWithIdenticalBytes)
+{
+    cfg.cacheCapacity = 1;
+    startServer();
+    Client c = connect();
+    const auto gda = submitAndWait(c, "gda", 0.05);
+    const auto kmeans = submitAndWait(c, "kmeans", 0.05);
+    const auto again = submitAndWait(c, "gda", 0.05);
+    EXPECT_FALSE(gda.first);
+    EXPECT_FALSE(kmeans.first);
+    EXPECT_FALSE(again.first);
+    EXPECT_EQ(again.second, gda.second);
+    auto s = server->cacheStats();
+    EXPECT_EQ(s.misses, 3u);
+    EXPECT_EQ(s.hits, 0u);
+    EXPECT_EQ(s.evictions, 2u);
+    EXPECT_EQ(s.size, 1u);
+    // The rebuild recorded the alias again.
+    const auto hit = submitAndWait(c, "gda", 0.05);
+    EXPECT_TRUE(hit.first);
+    EXPECT_EQ(hit.second, gda.second);
+    s = server->cacheStats();
+    EXPECT_EQ(s.misses, 3u);
+    EXPECT_EQ(s.hits, 1u);
+}
+
 TEST_F(ServerFixture, TenantEvalBudgetEnforcedAndStructured)
 {
     cfg.tenantEvalBudget = 100;
@@ -326,6 +405,49 @@ TEST_F(ServerFixture, PerJobPointCapRejectsOversizedRequests)
     EXPECT_FALSE(resp.find("ok")->asBool());
     EXPECT_EQ(resp.find("error")->find("code")->asString(),
               "admission-rejected");
+}
+
+/**
+ * A misspelt or retired `config` field is a user error naming the
+ * key, before anything is admitted or built; every field dhdlc and
+ * the benchmarks send is still accepted.
+ */
+TEST_F(ServerFixture, UnknownConfigKeysAreUserErrors)
+{
+    startServer();
+    Client c = connect();
+    for (const char* key : {"pointz", "batch"}) {
+        std::string quoted = "\"";
+        quoted += key;
+        quoted += '"';
+        Json req = submitRequest("dotproduct", "t", 0.05, 20, 1);
+        Json cfgJson = *req.find("config");
+        cfgJson.set(key, 3);
+        req.set("config", std::move(cfgJson));
+        Json resp;
+        ASSERT_TRUE(c.request(req, resp).ok());
+        ASSERT_FALSE(resp.find("ok")->asBool()) << key;
+        const Json* err = resp.find("error");
+        EXPECT_EQ(err->find("code")->asString(), "user-error");
+        EXPECT_NE(err->find("message")->asString().find(quoted),
+                  std::string::npos)
+            << err->find("message")->asString();
+    }
+    EXPECT_EQ(server->counters().submitted, 0u);
+    EXPECT_EQ(server->cacheStats().misses, 0u);
+
+    Json req = submitRequest("dotproduct", "t", 0.05, 20, 1);
+    Json all = *req.find("config");
+    all.set("threads", 1);
+    all.set("eval_budget", 20);
+    all.set("time_budget", 60.0);
+    all.set("initial_points", 8);
+    all.set("max_rounds", 2);
+    all.set("strategy", "random");
+    req.set("config", std::move(all));
+    Json resp;
+    ASSERT_TRUE(c.request(req, resp).ok());
+    EXPECT_TRUE(resp.find("ok")->asBool()) << resp.render();
 }
 
 TEST_F(ServerFixture, CancelStopsARunningJob)
