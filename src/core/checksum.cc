@@ -1,6 +1,7 @@
 #include "core/checksum.hh"
 
 #include <array>
+#include <cstdio>
 
 namespace dhdl {
 
@@ -41,6 +42,15 @@ fnv1a(std::string_view bytes)
         h *= 0x100000001b3ull;
     }
     return h;
+}
+
+std::string
+hexDigits(uint64_t v, int digits)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%0*llx", digits,
+                  (unsigned long long)v);
+    return buf;
 }
 
 } // namespace dhdl

@@ -21,6 +21,7 @@
 #define DHDL_CORE_CHECKSUM_HH
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace dhdl {
@@ -30,6 +31,10 @@ uint32_t crc32(std::string_view bytes);
 
 /** 64-bit FNV-1a hash of the bytes. */
 uint64_t fnv1a(std::string_view bytes);
+
+/** `v` as `digits` (at most 16) zero-padded lowercase hex digits,
+ *  the rendering of both checksums in file headers and records. */
+std::string hexDigits(uint64_t v, int digits);
 
 } // namespace dhdl
 

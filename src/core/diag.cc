@@ -49,6 +49,8 @@ diagCodeName(DiagCode code)
         return "admission-rejected";
       case DiagCode::VersionMismatch:
         return "version-mismatch";
+      case DiagCode::CalibrationCache:
+        return "calibration-cache";
     }
     return "unknown";
 }
@@ -77,6 +79,7 @@ diagCodeFromName(const std::string& name)
         DiagCode::Cancelled,
         DiagCode::AdmissionRejected,
         DiagCode::VersionMismatch,
+        DiagCode::CalibrationCache,
     };
     for (DiagCode c : all) {
         if (name == diagCodeName(c))

@@ -47,6 +47,7 @@ enum class DiagCode : uint8_t {
     Cancelled,              //!< Run stopped by a cooperative cancel.
     AdmissionRejected,      //!< Serving: request refused by admission control.
     VersionMismatch,        //!< Serving: client/server protocol skew.
+    CalibrationCache,       //!< Bad calibration cache entry recomputed.
 };
 
 /** Stable short name of a code (used in checkpoints and reports). */

@@ -1,14 +1,12 @@
 #include "dse/checkpoint.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 
+#include "core/atomic_file.hh"
 #include "core/checksum.hh"
 #include "core/faultinject.hh"
 #include "core/printer.hh"
@@ -20,23 +18,6 @@ namespace {
 
 constexpr const char* kMagicV2 = "# dhdl-explore-checkpoint v2";
 constexpr const char* kMagicV1 = "# dhdl-explore-checkpoint v1";
-
-std::string
-hex16(uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  (unsigned long long)v);
-    return buf;
-}
-
-std::string
-hex8(uint32_t v)
-{
-    char buf[9];
-    std::snprintf(buf, sizeof buf, "%08x", (unsigned)v);
-    return buf;
-}
 
 /** Split a row on the first n commas; element n is the remainder. */
 std::vector<std::string>
@@ -85,21 +66,6 @@ renderRecord(size_t index, const DesignPoint& p, bool withRound)
     // being the *last* comma-field of the line.
     os << "," << clean(p.failReason, false);
     return os.str();
-}
-
-/** Write `bytes` to an fd completely; false on any error. */
-bool
-writeAll(int fd, const std::string& bytes)
-{
-    size_t off = 0;
-    while (off < bytes.size()) {
-        ssize_t n =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (n <= 0)
-            return false;
-        off += size_t(n);
-    }
-    return true;
 }
 
 /** Byte offsets (start, end) of every data line in `content`. */
@@ -191,8 +157,8 @@ renderCheckpoint(const CheckpointMeta& meta,
         !meta.strategy.empty() && meta.strategy != "random";
     std::ostringstream os;
     os << kMagicV2 << "\n";
-    os << "# design=" << hex16(meta.designHash)
-       << " space=" << hex16(meta.spaceHash) << " seed=" << meta.seed
+    os << "# design=" << hexDigits(meta.designHash, 16)
+       << " space=" << hexDigits(meta.spaceHash, 16) << " seed=" << meta.seed
        << " total=" << meta.total << " nparams=" << meta.nparams
        << "\n";
     if (withRound) {
@@ -208,7 +174,7 @@ renderCheckpoint(const CheckpointMeta& meta,
         if (!points[i].evaluated)
             continue;
         std::string payload = renderRecord(i, points[i], withRound);
-        os << payload << "," << hex8(crc32(payload)) << "\n";
+        os << payload << "," << hexDigits(crc32(payload), 8) << "\n";
     }
     return os.str();
 }
@@ -227,17 +193,7 @@ writeCheckpointFile(const std::string& path,
         os << content;
         return bool(os);
     }
-    std::string tmp = path + ".tmp";
-    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        return false;
-    bool ok = writeAll(fd, content) && ::fsync(fd) == 0;
-    ok = (::close(fd) == 0) && ok;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
+    return writeFileAtomic(path, content);
 }
 
 Status
@@ -382,7 +338,7 @@ loadCheckpointFile(const std::string& path, const Graph& g,
             payload = row.substr(0, comma);
             std::string crcField = row.substr(comma + 1);
             if (crcField.size() != 8 ||
-                crcField != hex8(crc32(payload))) {
+                crcField != hexDigits(crc32(payload), 8)) {
                 damaged();
                 continue;
             }

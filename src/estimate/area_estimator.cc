@@ -63,11 +63,27 @@ AreaEstimator::designFeaturesInto(const AreaModel& model,
 
 AreaEstimator::AreaEstimator(const fpga::VendorToolchain& tc,
                              int train_designs, uint64_t seed)
+    : AreaEstimator(loadOrCompute(tc, train_designs, seed))
+{
+}
+
+AreaEstimator
+AreaEstimator::compute(const fpga::VendorToolchain& tc,
+                       int train_designs, uint64_t seed)
+{
+    DHDL_OBS_SPAN("estimate", "calibrate");
+    AreaEstimator est(tc, train_designs, seed, ComputeTag{});
+    est.calib_.source = CalibrationSource::Computed;
+    est.calib_.key = calibrationKey(tc, train_designs, seed);
+    return est;
+}
+
+AreaEstimator::AreaEstimator(const fpga::VendorToolchain& tc,
+                             int train_designs, uint64_t seed,
+                             ComputeTag)
     : dev_(tc.device()), routeNet_({11, 6, 1}, seed ^ 1),
       dupRegNet_({11, 6, 1}, seed ^ 2), unavailNet_({11, 6, 1}, seed ^ 3)
 {
-    DHDL_OBS_SPAN("estimate", "calibrate");
-
     // Step 1: characterize templates and fit the analytical models.
     {
         DHDL_OBS_SPAN("estimate", "characterize");

@@ -14,6 +14,9 @@
  *
  * The estimator is calibrated once per device + toolchain: template
  * characterization plus ANN training on 200 random design samples.
+ * The calibration is stored in an on-disk cache keyed by everything
+ * that decides its bits (calibrationKey()), so a process loads it in
+ * about a millisecond instead of recomputing it.
  */
 
 #ifndef DHDL_ESTIMATE_AREA_ESTIMATOR_HH
@@ -21,8 +24,10 @@
 
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include "analysis/instance.hh"
+#include "core/diag.hh"
 #include "estimate/area_model.hh"
 #include "ml/mlp.hh"
 #include "ml/scaler.hh"
@@ -158,18 +163,53 @@ struct AreaBatchWorkspace {
     ml::MlpWorkspace mlp;
 };
 
+/** Where an estimator's calibration came from. */
+enum class CalibrationSource : uint8_t {
+    Loaded,     //!< The stream constructor.
+    Computed,   //!< AreaEstimator::compute(); the cache was not read.
+    Hit,        //!< A valid cache entry was loaded.
+    Miss,       //!< No entry (or no usable cache): computed, stored.
+    Recomputed, //!< A bad entry: warned, computed, overwritten.
+};
+
+/** "loaded", "computed", "hit", "miss" or "recomputed". */
+const char* calibrationSourceName(CalibrationSource s);
+
+/** How an estimator was calibrated. */
+struct CalibrationInfo {
+    CalibrationSource source = CalibrationSource::Loaded;
+    /** calibrationKey() of the inputs; empty when Loaded. */
+    std::string key;
+    /** The cache entry consulted; empty when no cache was usable. */
+    std::string path;
+    /** Why a bad cache entry was recomputed (Recomputed only). */
+    std::optional<Diag> warning;
+};
+
 /** Calibrated hybrid area estimator. */
 class AreaEstimator
 {
   public:
     /**
-     * Calibrate against a toolchain: run the template
-     * characterization sweep, fit the analytical models, then train
-     * the effect ANNs on train_designs random design samples.
+     * The calibration against `tc`: loaded from the cache entry for
+     * calibrationKey(tc, train_designs, seed) when a valid one
+     * exists, otherwise computed as compute() does and stored. An
+     * entry with a wrong header, key, CRC or body is never used: it
+     * gives calibration().warning, a recompute and an overwrite.
      */
     explicit AreaEstimator(const fpga::VendorToolchain& tc,
                            int train_designs = 200,
                            uint64_t seed = 0xA11CE);
+
+    /**
+     * Calibrate against a toolchain without the cache: run the
+     * template characterization sweep, fit the analytical models,
+     * then train the effect ANNs on train_designs random design
+     * samples. This is the cache-miss path itself.
+     */
+    static AreaEstimator compute(const fpga::VendorToolchain& tc,
+                                 int train_designs = 200,
+                                 uint64_t seed = 0xA11CE);
 
     /**
      * Restore a previously calibrated estimator from a stream (see
@@ -177,9 +217,14 @@ class AreaEstimator
      */
     AreaEstimator(fpga::Device dev, std::istream& is);
 
-    /** Persist the full calibration (template models, ANNs, scalers,
-     *  BRAM-duplication fit, packing rate). */
+    /**
+     * Persist the full calibration (template models, ANNs, scalers,
+     * BRAM-duplication fit, packing rate). A loaded estimator saves
+     * exactly the bytes it was loaded from.
+     */
     void save(std::ostream& os) const;
+
+    const CalibrationInfo& calibration() const { return calib_; }
 
     /** Estimate a whole design instance. */
     AreaEstimate estimate(const Inst& inst) const;
@@ -242,6 +287,18 @@ class AreaEstimator
                        Resources raw, std::vector<double>& out);
 
   private:
+    struct ComputeTag {};
+
+    /** compute() without its span: the characterization and
+     *  training steps, each under its own span. */
+    AreaEstimator(const fpga::VendorToolchain& tc, int train_designs,
+                  uint64_t seed, ComputeTag);
+
+    /** The cached constructor's body (estimate/calibration_cache). */
+    static AreaEstimator loadOrCompute(const fpga::VendorToolchain& tc,
+                                       int train_designs,
+                                       uint64_t seed);
+
     /** Everything of an estimate that the packing rate leaves
      *  unchanged: raw counts and the de-scaled network outputs. */
     struct Effects {
@@ -274,7 +331,36 @@ class AreaEstimator
      * removes the systematic ALM bias of that assumption).
      */
     double packRate_ = 1.0;
+    CalibrationInfo calib_;
 };
+
+/**
+ * The calibration cache key: 16 hex digits of a hash over every input
+ * that decides the calibration bits — each field of the toolchain's
+ * device, the toolchain seed, train_designs and seed, a digest of the
+ * calibrating sources (src/{obs,core,analysis,ml,fpga,estimate}) and
+ * of the compiler, its version and flags, computed by the build, plus
+ * the host's glibc version and whether its CPU has FMA (libm picks
+ * its tanh/expm1 code by CPU feature).
+ */
+std::string calibrationKey(const fpga::VendorToolchain& tc,
+                           int train_designs, uint64_t seed);
+
+/**
+ * The calibration cache directory, created when missing:
+ * $XDG_CACHE_HOME/dhdl when that is an absolute path, otherwise
+ * $HOME/.cache/dhdl. Empty when no directory is usable; the cache
+ * is then skipped and every estimator computes.
+ */
+std::string calibrationCacheDir();
+
+/**
+ * Write `est` (computed, so calibration().key is set) as the cache
+ * entry for its key, atomically. Returns the entry's path, or an
+ * empty string when no cache directory is usable or the write
+ * failed.
+ */
+std::string storeCalibration(const AreaEstimator& est);
 
 /**
  * Process-wide calibrated estimator against the default MAIA board

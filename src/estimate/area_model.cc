@@ -164,6 +164,9 @@ AreaModel::fit(const std::vector<fpga::TemplateSample>& samples)
         for (int i = 0; i < 5; ++i)
             ms[size_t(i)].fit(x, y[size_t(i)], 1e-6);
     }
+    order_.clear();
+    for (const auto& m : models_)
+        order_.push_back(m.first);
     resolve();
 }
 
@@ -250,10 +253,10 @@ AreaModel::rawCount(const std::vector<TemplateInst>& ts) const
 void
 AreaModel::save(std::ostream& os) const
 {
-    os << "area_model " << models_.size() << " v1\n";
-    for (const auto& [key, ms] : models_) {
+    os << "area_model " << order_.size() << " v1\n";
+    for (uint64_t key : order_) {
         os << "class " << key << "\n";
-        for (const auto& m : ms)
+        for (const auto& m : models_.at(key))
             ml::saveLinear(os, m);
     }
 }
@@ -273,6 +276,9 @@ AreaModel::load(std::istream& is)
         is >> ctag >> key;
         require(bool(is) && ctag == "class",
                 "bad area-model class record");
+        require(!model.models_.count(key),
+                "duplicate area-model class record");
+        model.order_.push_back(key);
         auto& ms = model.models_[key];
         for (auto& m : ms)
             m = ml::loadLinear(is);

@@ -88,7 +88,11 @@ class AreaModel
 
     size_t numClasses() const { return models_.size(); }
 
-    /** Persist the fitted per-class models (text, versioned). */
+    /**
+     * Persist the fitted per-class models (text, versioned). Classes
+     * are written in order_, so a loaded model saves exactly the bytes
+     * it was loaded from.
+     */
     void save(std::ostream& os) const;
 
     /** Restore previously persisted models. */
@@ -110,6 +114,11 @@ class AreaModel
 
     /** lutsPack, lutsNoPack, regs, dsps, brams. */
     std::unordered_map<uint64_t, std::array<ml::LinearModel, 5>> models_;
+
+    /** Class keys in save order: models_'s iteration order right
+     *  after fit() (the historical bytes), or the file's order after
+     *  load(). */
+    std::vector<uint64_t> order_;
 
     struct Resolved {
         bool present = false;

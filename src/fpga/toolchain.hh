@@ -55,6 +55,9 @@ class VendorToolchain
 
     const Device& device() const { return dev_; }
 
+    /** Seed of the per-design P&R noise. */
+    uint64_t seed() const { return seed_; }
+
     /** Synthesize a whole design instance. */
     PnrReport synthesize(const Inst& inst) const;
 

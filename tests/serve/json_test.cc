@@ -479,4 +479,31 @@ TEST(ServeJson, DuplicateKeysKeepFirstPositionLastValue)
     EXPECT_EQ(j.render(), R"({"a":4,"b":{"a":[1,{"a":3}]}})");
 }
 
+/** Past the small-object scan the parser indexes keys: a 40k-key
+ *  object (with a repeat of every tenth key, and a nested object in
+ *  the middle) parses in linear time with the same members and the
+ *  same first-position, last-value rule. */
+TEST(ServeJson, ManyKeyObjectKeepsFirstPositionLastValue)
+{
+    constexpr int kKeys = 40000;
+    std::string text = "{";
+    for (int i = 0; i < kKeys; ++i) {
+        text += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+        if (i == kKeys / 2)
+            text += "\"nested\":{\"x\":1,\"x\":2},";
+        if (i % 10 == 9)
+            text += "\"k" + std::to_string(i - 9) + "\":-1,";
+    }
+    text.back() = '}';
+    const Json j = parsed(text);
+    const auto& m = j.members();
+    ASSERT_EQ(m.size(), size_t(kKeys) + 1);
+    for (int i = 0; i < kKeys; ++i) {
+        const size_t at = size_t(i) + (i > kKeys / 2 ? 1 : 0);
+        ASSERT_EQ(m[at].first, "k" + std::to_string(i));
+        ASSERT_EQ(m[at].second.asInt(), i % 10 == 0 ? -1 : i);
+    }
+    EXPECT_EQ(m[size_t(kKeys) / 2 + 1].second.render(), R"({"x":2})");
+}
+
 } // namespace

@@ -41,10 +41,13 @@
  * the MaxJ kernel and manager for the best point; `emit-ir` writes
  * the canonical `.dhdl` serialization to stdout (round-trippable:
  * `dhdlc emit-ir gda > gda.dhdl && dhdlc explore gda.dhdl`); `print`
- * dumps the human-readable hierarchy; `calibrate` runs
- * characterization + ANN training and persists the calibration to
+ * dumps the human-readable hierarchy; `calibrate` always runs
+ * characterization + ANN training, refreshes the calibration cache
+ * entry (printing its key and path) and exports the calibration to
  * <DIR>/dhdl_calibration.txt (reloadable via
- * est::AreaEstimator(device, stream)).
+ * est::AreaEstimator(device, stream)). Every other command loads the
+ * cached calibration, computing and storing it on a miss (cache in
+ * $XDG_CACHE_HOME/dhdl or ~/.cache/dhdl; delete it to clear).
  *
  * Every load — built or parsed — runs the standard analysis pass
  * pipeline (validate, fold-constants, dead-nodes, stats); pass
@@ -357,11 +360,30 @@ makeConfig(const Args& args)
     return cfg;
 }
 
+/** The process's estimator, once calibrated (see estimator()). */
+const est::AreaEstimator* gEstimator = nullptr;
+
+/**
+ * The calibrated estimator. The first call reports a bad calibration
+ * cache entry (recomputed and overwritten) on stderr; `--profile`
+ * later prints where the calibration came from.
+ */
+const est::AreaEstimator&
+estimator()
+{
+    if (!gEstimator) {
+        gEstimator = &est::calibratedEstimator();
+        if (const auto& w = gEstimator->calibration().warning)
+            std::cerr << "dhdlc: " << w->str() << "\n";
+    }
+    return *gEstimator;
+}
+
 dse::ExploreResult
 explore(const Graph& g, const Args& args)
 {
     static est::RuntimeEstimator rt;
-    dse::Explorer ex(est::calibratedEstimator(), rt);
+    dse::Explorer ex(estimator(), rt);
     return ex.explore(g, makeConfig(args));
 }
 
@@ -435,7 +457,7 @@ cmdEmitIR(const Args& args)
 void
 printPareto(const Graph& g, const dse::ExploreResult& res, int top)
 {
-    const auto& dev = est::calibratedEstimator().device();
+    const auto& dev = estimator().device();
     int shown = 0;
     for (size_t idx : res.pareto) {
         if (shown++ >= top)
@@ -480,6 +502,9 @@ cmdSupervise(const Args& args)
             "--shards needs --checkpoint (shard files derive from it)");
     require(args.shards >= 1, "--shards must be >= 1");
     Loaded l = load(args); // Validate the design before spawning.
+    // Fill a cold calibration cache once, before the shards start,
+    // so each of them loads it instead of computing its own.
+    estimator();
 
     const std::string exe = selfExe(gArgv0);
     std::vector<dse::SupervisorTask> tasks;
@@ -819,10 +844,24 @@ runCommand(const Args& args)
     if (args.command == "list")
         return cmdList();
     if (args.command == "calibrate") {
+        const auto e = est::AreaEstimator::compute(est::defaultToolchain());
+        const std::string entry = est::storeCalibration(e);
+        std::cout << "calibration key " << e.calibration().key << "\n";
         std::string path = args.out + "/dhdl_calibration.txt";
         std::ofstream out(path);
-        est::calibratedEstimator().save(out);
+        e.save(out);
+        if (!out) {
+            std::cerr << "dhdlc: cannot write " << path << "\n";
+            return 1;
+        }
         std::cout << "wrote " << path << "\n";
+        if (entry.empty()) {
+            std::cerr << "dhdlc: cannot write the calibration cache"
+                         " entry (no usable directory under"
+                         " XDG_CACHE_HOME or HOME/.cache)\n";
+            return 1;
+        }
+        std::cout << "cached " << entry << "\n";
         return 0;
     }
     if (args.command == "status")
@@ -896,6 +935,13 @@ finishObs(const Args& args)
         auto snap = obs::snapshotMetrics();
         snap.renderText(std::cerr);
         renderRounds(snap, std::cerr);
+        if (gEstimator) {
+            const auto& c = gEstimator->calibration();
+            std::cerr << "calibration: "
+                      << est::calibrationSourceName(c.source)
+                      << " key=" << c.key << " entry="
+                      << (c.path.empty() ? "(none)" : c.path) << "\n";
+        }
     }
     if (!args.metrics.empty()) {
         std::ofstream os(args.metrics);

@@ -14,8 +14,9 @@
  * running jobs finish, streaming clients receive their final events,
  * new submissions are rejected with a structured admission
  * diagnostic. `GET /metrics` on the same port returns the metrics
- * registry in Prometheus exposition format. DHDL_OBS=ON additionally
- * enables span/metric recording inside jobs.
+ * registry in Prometheus exposition format, including where the
+ * estimator calibration came from (cache hit, miss or recompute).
+ * DHDL_OBS=ON additionally enables span/metric recording inside jobs.
  */
 
 #include <csignal>
@@ -95,7 +96,10 @@ main(int argc, char** argv)
     }
 
     static est::RuntimeEstimator runtime;
-    serve::Server server(est::calibratedEstimator(), runtime, cfg);
+    const est::AreaEstimator& area = est::calibratedEstimator();
+    if (const auto& w = area.calibration().warning)
+        std::cerr << "dhdld: " << w->str() << "\n";
+    serve::Server server(area, runtime, cfg);
     if (Status st = server.start(); !st.ok()) {
         std::cerr << "dhdld: " << st.diag().str() << "\n";
         return 1;
