@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "apps/apps.hh"
 #include "core/faultinject.hh"
@@ -76,11 +82,26 @@ class CheckpointTest : public ::testing::Test
     {
         fault::reset();
         std::remove(path().c_str());
-        std::remove((path() + ".tmp").c_str());
+        for (const std::string& t : temps())
+            std::remove(t.c_str());
     }
     std::string path() const
     {
         return ::testing::TempDir() + "dhdl_ckpt_test.ckpt";
+    }
+    /** Every `<path>.tmp.*` file, whoever wrote it. */
+    std::vector<std::string> temps() const
+    {
+        namespace fs = std::filesystem;
+        const std::string prefix =
+            fs::path(path()).filename().string() + ".tmp";
+        std::vector<std::string> out;
+        std::error_code ec;
+        for (const auto& e :
+             fs::directory_iterator(fs::path(path()).parent_path(), ec))
+            if (e.path().filename().string().rfind(prefix, 0) == 0)
+                out.push_back(e.path().string());
+        return out;
     }
 };
 
@@ -91,7 +112,7 @@ TEST_F(CheckpointTest, RoundTripRestoresEveryPointExactly)
     const CheckpointMeta meta = run.meta(ref);
     ASSERT_TRUE(writeCheckpointFile(path(), meta, ref.points));
     // The atomic protocol leaves no temp file behind.
-    EXPECT_FALSE(std::ifstream(path() + ".tmp").good());
+    EXPECT_EQ(temps(), std::vector<std::string>{});
 
     // Restore into a fresh copy of the same sample set.
     run.cfg.checkpointPath = path();
@@ -103,6 +124,29 @@ TEST_F(CheckpointTest, RoundTripRestoresEveryPointExactly)
     EXPECT_EQ(renderCheckpoint(meta, res.points),
               renderCheckpoint(meta, ref.points));
     EXPECT_EQ(res.pareto, ref.pareto);
+}
+
+TEST_F(CheckpointTest, WriteRemovesTemporariesOfDeadWritersOnly)
+{
+    // A writer killed between creating and renaming its temporary
+    // leaves `<path>.tmp.<pid>.<seq>`; the next write removes it. A
+    // live writer's temporary (this process's, say) is left alone.
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0)
+        ::_exit(0);
+    ASSERT_EQ(::waitpid(child, nullptr, 0), child);
+    const std::string dead =
+        path() + ".tmp." + std::to_string(child) + ".0";
+    const std::string live =
+        path() + ".tmp." + std::to_string(::getpid()) + ".999999";
+    std::ofstream(dead) << "torn";
+    std::ofstream(live) << "in flight";
+
+    Sweep run;
+    auto ref = run.explore();
+    ASSERT_TRUE(writeCheckpointFile(path(), run.meta(ref), ref.points));
+    EXPECT_EQ(temps(), std::vector<std::string>{live});
 }
 
 TEST_F(CheckpointTest, TornTailIsTruncatedAndReEvaluated)
