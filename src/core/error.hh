@@ -40,7 +40,7 @@ enum class DiagCode : uint8_t {
     EvalBudgetExceeded,     //!< Exploration point-count budget hit.
     CheckpointIo,           //!< Checkpoint file unreadable/corrupt.
     CheckpointMismatch,     //!< Checkpoint from a different run refused.
-    ShardFailed,            //!< A supervised shard died/hung for good.
+    ShardFailed,            //!< A shard is missing or foreign at merge.
     HostApiMisuse,          //!< host::Accelerator called out of contract.
     ParseError,             //!< Malformed `.dhdl` IR text.
     SamplingShortfall,      //!< Legal space yielded fewer points than asked.

@@ -11,13 +11,13 @@
 #include "core/faultinject.hh"
 #include "core/printer.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 
 namespace dhdl::dse {
 
 namespace {
 
 constexpr const char* kMagicV2 = "# dhdl-explore-checkpoint v2";
-constexpr const char* kMagicV1 = "# dhdl-explore-checkpoint v1";
 
 /** Split a row on the first n commas; element n is the remainder. */
 std::vector<std::string>
@@ -184,16 +184,31 @@ writeCheckpointFile(const std::string& path,
                     const CheckpointMeta& meta,
                     const std::vector<DesignPoint>& points)
 {
+    const bool traced = obs::enabled();
+    const uint64_t t0 = traced ? obs::nowMicros() : 0;
     std::string content = renderCheckpoint(meta, points);
+    bool ok;
     if (injectFaults(content)) {
         // Torn-tail injection: bypass the atomic protocol on
-        // purpose, leaving exactly the file a killed v1-style
+        // purpose, leaving exactly the file a killed non-atomic
         // writer would have left.
         std::ofstream os(path, std::ios::trunc | std::ios::binary);
         os << content;
-        return bool(os);
+        ok = bool(os);
+    } else {
+        ok = writeFileAtomic(path, content);
     }
-    return writeFileAtomic(path, content);
+    if (traced) {
+        static const obs::Counter cWrites("dse.checkpoint.writes");
+        static const obs::Counter cUs("dse.checkpoint.write.us");
+        static const obs::Counter cBytes("dse.checkpoint.write.bytes");
+        const uint64_t us = obs::nowMicros() - t0;
+        obs::recordSpan("dse", "checkpoint-write", t0, us);
+        cWrites.add(1);
+        cUs.add(us);
+        cBytes.add(content.size());
+    }
+    return ok;
 }
 
 Status
@@ -252,14 +267,10 @@ loadCheckpointFile(const std::string& path, const Graph& g,
         return mismatch(path, "file is empty");
     }
 
-    bool legacy = false;
-    if (lines[0] == kMagicV1)
-        legacy = true;
-    else if (lines[0] != kMagicV2) {
+    if (lines[0] != kMagicV2) {
         finish();
         return mismatch(path, "unknown format");
     }
-    ls.legacy = legacy;
 
     // Header validation: every identity field must agree before a
     // single record is merged.
@@ -267,16 +278,10 @@ loadCheckpointFile(const std::string& path, const Graph& g,
     unsigned long long design = 0, spaceHash = 0;
     size_t total = 0, nparams = 0;
     if (lines.size() < 2 ||
-        (legacy
-             ? std::sscanf(lines[1].c_str(),
-                           "# seed=%llu total=%zu nparams=%zu",
-                           &seed, &total, &nparams) != 3
-             : std::sscanf(
-                   lines[1].c_str(),
-                   "# design=%llx space=%llx seed=%llu total=%zu "
-                   "nparams=%zu",
-                   &design, &spaceHash, &seed, &total,
-                   &nparams) != 5)) {
+        std::sscanf(lines[1].c_str(),
+                    "# design=%llx space=%llx seed=%llu total=%zu "
+                    "nparams=%zu",
+                    &design, &spaceHash, &seed, &total, &nparams) != 5) {
         finish();
         return mismatch(path, "malformed header");
     }
@@ -285,10 +290,8 @@ loadCheckpointFile(const std::string& path, const Graph& g,
         if (!same)
             why += why.empty() ? what : (std::string(", ") + what);
     };
-    if (!legacy) {
-        check(design == expect.designHash, "design");
-        check(spaceHash == expect.spaceHash, "parameter space");
-    }
+    check(design == expect.designHash, "design");
+    check(spaceHash == expect.spaceHash, "parameter space");
     check(seed == expect.seed, "seed");
     check(total == expect.total, "sample count");
     check(nparams == expect.nparams, "parameter count");
@@ -328,31 +331,28 @@ loadCheckpointFile(const std::string& path, const Graph& g,
             (isTail ? ls.truncated : ls.corrupt)++;
         };
 
-        std::string payload = row;
-        if (!legacy) {
-            size_t comma = row.rfind(',');
-            if (comma == std::string::npos) {
-                damaged();
-                continue;
-            }
-            payload = row.substr(0, comma);
-            std::string crcField = row.substr(comma + 1);
-            if (crcField.size() != 8 ||
-                crcField != hexDigits(crc32(payload), 8)) {
-                damaged();
-                continue;
-            }
+        const size_t comma = row.rfind(',');
+        if (comma == std::string::npos) {
+            damaged();
+            continue;
         }
-        // v2 payloads carry failstage between failcode and alms (and
-        // a round column before failreason when strategy-tagged).
-        const size_t ncommas = legacy ? 11 : (hasRound ? 13 : 12);
+        const std::string payload = row.substr(0, comma);
+        const std::string crcField = row.substr(comma + 1);
+        if (crcField.size() != 8 ||
+            crcField != hexDigits(crc32(payload), 8)) {
+            damaged();
+            continue;
+        }
+        // Payload fields: index, valid, failed, failcode, failstage,
+        // alms..cycles, binding, [round,] failreason — the round
+        // column only when strategy-tagged.
+        const size_t ncommas = hasRound ? 13 : 12;
         auto f = splitFields(payload, ncommas);
         if (f.size() != ncommas + 1) {
             damaged();
             continue;
         }
-        const size_t stageAt = legacy ? 0 : 4; // 0 = absent
-        const size_t numAt = legacy ? 4 : 5;   // alms..cycles
+        const size_t numAt = 5; // alms..cycles
         const size_t bindAt = numAt + 6;
         size_t idx = 0;
         try {
@@ -395,7 +395,7 @@ loadCheckpointFile(const std::string& path, const Graph& g,
             damaged();
             continue;
         }
-        p.failStage = stageAt ? f[stageAt] : "";
+        p.failStage = f[4];
         p.failReason = f[bindAt + (hasRound ? 2 : 1)];
         p.evaluated = true;
         ++ls.restored;

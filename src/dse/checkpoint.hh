@@ -36,9 +36,8 @@
  *    so a restored failure re-surfaces a diagnostic byte-identical
  *    (in code/stage/message/point) to the live run's.
  *
- * The v1 format (no CRC, no design/space hashes) is still read:
- * malformed or torn trailing lines are skipped and counted instead
- * of mis-parsing, and header fields that v1 carries are validated.
+ * Any other first line (the retired v1 format included) is refused
+ * as a CheckpointMismatch "unknown format".
  */
 
 #ifndef DHDL_DSE_CHECKPOINT_HH
@@ -91,7 +90,10 @@ std::string renderCheckpoint(const CheckpointMeta& meta,
  * Atomically persist a checkpoint batch: temp file in the same
  * directory, fsync, rename. Returns false on I/O failure (caller
  * reports; exploration continues). Fault-injection points
- * `torn-checkpoint` and `corrupt-record` act here.
+ * `torn-checkpoint` and `corrupt-record` act here. While obs is
+ * enabled each call is a `dse/checkpoint-write` span and adds to
+ * `dse.checkpoint.writes`, `.write.us` (render + write + fsync)
+ * and `.write.bytes`.
  */
 bool writeCheckpointFile(const std::string& path,
                          const CheckpointMeta& meta,
@@ -103,7 +105,6 @@ struct CheckpointLoadStats {
     size_t truncated = 0; //!< Torn-tail records dropped.
     size_t corrupt = 0;   //!< Mid-file CRC failures skipped.
     size_t stale = 0;     //!< Index/binding mismatches skipped.
-    bool legacy = false;  //!< File was the v1 format.
 };
 
 /**

@@ -212,8 +212,8 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
 
     const auto* hook = cfg.preEvaluate ? &cfg.preEvaluate : nullptr;
     // Chaos seams (disarmed: one relaxed load). The crash is a real
-    // SIGKILL — exactly what the durable checkpoint format and the
-    // shard supervisor exist to survive. The seams fire once per
+    // SIGKILL — exactly what the durable checkpoint format and
+    // --resume exist to survive. The seams fire once per
     // point after its batch, so crash-after-N-evals counts points
     // (the crash lands on a batch boundary, which resume converges
     // from identically).

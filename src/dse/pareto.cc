@@ -5,29 +5,43 @@
 namespace dhdl::dse {
 
 std::vector<size_t>
-paretoFront(size_t n, const std::function<double(size_t)>& x,
-            const std::function<double(size_t)>& y)
+paretoFront(const std::vector<double>& xs, const std::vector<double>& ys)
 {
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i)
+    std::vector<size_t> order(xs.size());
+    for (size_t i = 0; i < order.size(); ++i)
         order[i] = i;
+    // The index tie-break makes the front canonical under (x, y)
+    // duplicates, which the incremental ParetoFront reproduces
+    // insertion-order-free.
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        if (x(a) != x(b))
-            return x(a) < x(b);
-        if (y(a) != y(b))
-            return y(a) < y(b);
+        if (xs[a] != xs[b])
+            return xs[a] < xs[b];
+        if (ys[a] != ys[b])
+            return ys[a] < ys[b];
         return a < b;
     });
 
     std::vector<size_t> front;
     double best_y = 1e300;
     for (size_t i : order) {
-        if (y(i) < best_y) {
+        if (ys[i] < best_y) {
             front.push_back(i);
-            best_y = y(i);
+            best_y = ys[i];
         }
     }
     return front;
+}
+
+std::vector<size_t>
+paretoFront(size_t n, const std::function<double(size_t)>& x,
+            const std::function<double(size_t)>& y)
+{
+    std::vector<double> xs(n), ys(n);
+    for (size_t i = 0; i < n; ++i) {
+        xs[i] = x(i);
+        ys[i] = y(i);
+    }
+    return paretoFront(xs, ys);
 }
 
 bool

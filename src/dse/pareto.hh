@@ -7,7 +7,9 @@
  *
  * Two forms share one canonical dominance rule:
  *
- *  - paretoFront(): batch extraction over a whole point set;
+ *  - paretoFront(): batch extraction over a whole point set, one
+ *    sort-and-scan kernel over flat objective arrays (paretoOf()
+ *    in dse/explorer gathers its points into the same kernel);
  *  - ParetoFront: an incremental front that absorbs points one at a
  *    time, used by the round-based search driver so per-round updates
  *    never rescan history.
@@ -28,11 +30,17 @@
 namespace dhdl::dse {
 
 /**
- * Indices of the Pareto-minimal points under objectives (x, y).
- * A point is Pareto-optimal when no other point is <= in both
- * objectives and < in at least one; exact (x, y) duplicates keep
- * only the lowest index. Returned sorted by x ascending.
+ * Indices of the Pareto-minimal points (xs[i], ys[i]); the two
+ * arrays have equal length. A point is Pareto-optimal when no other
+ * point is <= in both objectives and < in at least one; exact (x, y)
+ * duplicates keep only the lowest index. Returned sorted by x
+ * ascending.
  */
+std::vector<size_t> paretoFront(const std::vector<double>& xs,
+                                const std::vector<double>& ys);
+
+/** The same front over n points whose objectives are x(i), y(i);
+ *  each is read once per point. */
 std::vector<size_t>
 paretoFront(size_t n, const std::function<double(size_t)>& x,
             const std::function<double(size_t)>& y);

@@ -87,7 +87,7 @@ mergeShards(const Graph& g, const ExploreConfig& cfg, int shardCount,
             continue;
         // Graceful degradation: the merge stays partial and says so
         // instead of aborting. The shard's points remain un-evaluated
-        // and a later supervisor pass (or manual re-run) fills them.
+        // until the shard is re-run (with --resume) and merged again.
         out.missingShards.push_back(s);
         Diag d;
         d.code = DiagCode::ShardFailed;

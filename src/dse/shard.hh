@@ -51,7 +51,7 @@ inShard(size_t i, const ShardSpec& s)
 
 /**
  * Canonical checkpoint path of one shard: "<base>.shard-<i>-of-<N>".
- * The supervisor, the merge command and the tests all derive paths
+ * The shard runs, the merge command and the tests all derive paths
  * through this one function so they can never disagree.
  */
 std::string shardCheckpointPath(const std::string& base, int index,

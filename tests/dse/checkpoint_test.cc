@@ -1,8 +1,8 @@
 /**
  * The durable checkpoint format: atomic write protocol, header
  * identity validation, per-record CRC recovery (torn tail vs mid-file
- * corruption), v1 legacy compatibility, and diagnostic fidelity of
- * restored failures.
+ * corruption), refusal of the retired v1 format, and diagnostic
+ * fidelity of restored failures.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "dse/checkpoint.hh"
 #include "dse/explorer.hh"
 #include "dse/shard.hh"
+#include "obs/metrics.hh"
 
 namespace dhdl::dse {
 namespace {
@@ -248,62 +248,79 @@ TEST_F(CheckpointTest, MissingFileIsIoErrorNotMismatch)
     EXPECT_EQ(st.diag().code, DiagCode::CheckpointIo);
 }
 
-TEST_F(CheckpointTest, LegacyV1FileStillLoads)
+TEST_F(CheckpointTest, RetiredV1FileIsRefusedAsUnknownFormat)
 {
     Sweep run;
     auto ref = run.explore();
     const CheckpointMeta meta = run.meta(ref);
 
-    // Author the v1 format by hand: no CRC, no design/space hashes,
-    // no failstage column.
+    // A v1 file (no CRC, no design/space hashes) with a well-formed
+    // header and record: the loader no longer reads the format.
     std::ostringstream os;
     os << "# dhdl-explore-checkpoint v1\n";
     os << "# seed=" << meta.seed << " total=" << meta.total
        << " nparams=" << meta.nparams << "\n";
-    os << std::setprecision(17);
-    for (size_t i = 0; i < ref.points.size(); ++i) {
-        const auto& p = ref.points[i];
-        if (!p.evaluated)
-            continue;
-        os << i << "," << (p.valid ? 1 : 0) << ","
-           << (p.failed ? 1 : 0) << "," << diagCodeName(p.failCode)
-           << "," << p.area.alms << "," << p.area.luts << ","
-           << p.area.regs << "," << p.area.dsps << ","
-           << p.area.brams << "," << p.cycles << ",";
-        for (size_t j = 0; j < p.binding.values.size(); ++j)
-            os << (j ? " " : "") << p.binding.values[j];
-        os << "," << p.failReason << "\n";
-    }
+    const auto& p = ref.points[0];
+    os << "0," << (p.valid ? 1 : 0) << "," << (p.failed ? 1 : 0) << ","
+       << diagCodeName(p.failCode) << ",1,1,1,1,1," << p.cycles << ",";
+    for (size_t j = 0; j < p.binding.values.size(); ++j)
+        os << (j ? " " : "") << p.binding.values[j];
+    os << ",\n";
     spit(path(), os.str());
 
+    std::vector<DesignPoint> fresh(ref.points.size());
+    for (size_t i = 0; i < fresh.size(); ++i)
+        fresh[i].binding = ref.points[i].binding;
+    DiagSink sink;
+    CheckpointLoadStats ls;
+    Status st = loadCheckpointFile(path(), run.design.graph(), meta,
+                                   fresh, sink, &ls);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.diag().code, DiagCode::CheckpointMismatch);
+    EXPECT_NE(st.diag().message.find("unknown format"),
+              std::string::npos);
+    EXPECT_EQ(ls.restored, 0u);
+
+    // On resume the refusal is a warning and the run starts fresh.
     run.cfg.checkpointPath = path();
     run.cfg.resume = true;
     auto res = run.explore();
-    EXPECT_EQ(res.stats.resumed, ref.stats.evaluated);
+    EXPECT_EQ(res.stats.resumed, 0u);
+    EXPECT_EQ(res.stats.evaluated, ref.stats.evaluated);
+    bool warned = false;
+    for (const auto& d : res.diags)
+        warned |= d.code == DiagCode::CheckpointMismatch &&
+                  d.severity == DiagSeverity::Warning &&
+                  d.message.find("unknown format") != std::string::npos;
+    EXPECT_TRUE(warned);
     EXPECT_EQ(renderCheckpoint(meta, res.points),
               renderCheckpoint(meta, ref.points));
 }
 
-TEST_F(CheckpointTest, LegacyV1MalformedTrailingLineIsSkipped)
+TEST_F(CheckpointTest, EveryCheckpointWriteIsCountedWhileTraced)
 {
     Sweep run;
-    auto ref = run.explore();
-    const CheckpointMeta meta = run.meta(ref);
-    std::ostringstream os;
-    os << "# dhdl-explore-checkpoint v1\n";
-    os << "# seed=" << meta.seed << " total=" << meta.total
-       << " nparams=" << meta.nparams << "\n";
-    os << "0,1,0,ok,1,1"; // torn v1 record: too few fields
-    spit(path(), os.str());
-
     run.cfg.checkpointPath = path();
-    run.cfg.resume = true;
+    run.cfg.checkpointEvery = 7;
+    const bool was = obs::enabled();
+    obs::setEnabled(true);
+    const auto before = obs::snapshotMetrics();
     auto res = run.explore();
-    // Skip-and-count, never abort: the malformed line is dropped,
-    // the run completes in full.
-    EXPECT_EQ(res.stats.resumed, 0u);
-    EXPECT_EQ(res.stats.ckptTruncated, 1u);
-    EXPECT_EQ(res.stats.evaluated, res.stats.total);
+    const auto after = obs::snapshotMetrics();
+    obs::setEnabled(was);
+
+    // One write per evaluation slice: ceil(proposed / every) a round.
+    uint64_t slices = 0;
+    for (const auto& r : res.stats.rounds)
+        slices += (r.proposed + 6) / 7;
+    ASSERT_GT(slices, 1u);
+    auto delta = [&](const char* name) {
+        return after.counter(name) - before.counter(name);
+    };
+    EXPECT_EQ(delta("dse.checkpoint.writes"), slices);
+    // The last write is the final file; earlier ones are smaller.
+    EXPECT_GE(delta("dse.checkpoint.write.bytes"),
+              uint64_t(slurp(path()).size()));
 }
 
 TEST_F(CheckpointTest, RestoredFailureDiagsMatchLiveRun)

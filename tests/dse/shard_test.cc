@@ -197,7 +197,7 @@ TEST(ShardMergeTest, CrashedShardRecoversAndMergeConverges)
             fault::configure("torn-checkpoint=1");
             runShard(d, base, i, n);
             fault::reset();
-            // Supervisor-style retry: resume repairs the torn tail
+            // Re-run with resume: it repairs the torn tail
             // and completes the shard.
             auto retry = runShard(d, base, i, n);
             EXPECT_EQ(retry.stats.ckptTruncated, 1u);

@@ -6,8 +6,8 @@
  *   dhdlc explore <design> [--scale S] [--points N] [--top K]
  *                 [--threads T] [--time-budget SEC] [--seed SEED]
  *                 [--checkpoint FILE] [--resume] [--profile]
- *                 [--shard I/N] [--shards N] [--shard-timeout SEC]
- *                 [--retries R] [--trace FILE] [--metrics FILE]
+ *                 [--checkpoint-every N] [--shard I/N]
+ *                 [--trace FILE] [--metrics FILE]
  *   dhdlc merge <design> --shards N --checkpoint FILE
  *                 [--scale S] [--points N] [--seed SEED] [--top K]
  *   dhdlc report <design> [--scale S] [--points N]
@@ -68,14 +68,14 @@
  *   --shard I/N     evaluate only shard I of an N-way deterministic
  *                   partition; the checkpoint goes to
  *                   <FILE>.shard-I-of-N
- *   --shards N      supervisor mode: launch all N shards of this
- *                   machine as subprocesses, watchdog + retry each
- *                   (--shard-timeout, --retries), then merge the
- *                   shard checkpoints and print the global result
  *   merge           reassemble shard checkpoints without running
  *                   anything; shards that are missing or belong to a
  *                   different run degrade to an explicit partial
  *                   merge
+ * Run each shard as its own process (on this machine or another),
+ * each with `--checkpoint FILE --resume`; re-running a crashed shard
+ * the same way resumes it from its checkpoint. Then `merge --shards
+ * N`. To use one machine's cores, use `--threads T` instead.
  *
  * Fault injection (chaos testing): DHDL_FAULT=point=value[,...] in
  * the environment arms crash/hang/torn-write/corrupt-record seams
@@ -91,8 +91,6 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "apps/apps.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -103,7 +101,6 @@
 #include "core/transform.hh"
 #include "dse/explorer.hh"
 #include "dse/shard.hh"
-#include "dse/supervisor.hh"
 #include "estimate/power_model.hh"
 #include "fpga/toolchain.hh"
 #include "serve/client.hh"
@@ -131,9 +128,7 @@ struct Args {
     long long seed = -1;   //!< -1 keeps the ExploreConfig default.
     long long checkpointEvery = 0; //!< 0 keeps the default cadence.
     std::string shard;     //!< "I/N": run one shard of a partition.
-    int shards = 0;        //!< >0: supervise all N shards locally.
-    double shardTimeout = 0; //!< Watchdog per shard attempt.
-    int retries = 2;       //!< Supervisor retries per shard.
+    int shards = 0;        //!< merge: shard count of the partition.
     std::string strategy;  //!< "random" (default) or "surrogate".
     int initialPoints = 0; //!< >0 overrides the surrogate seed round.
     int maxRounds = 0;     //!< >0 caps surrogate rounds.
@@ -191,8 +186,6 @@ flagTable()
         {"--resume", nullptr, flag(&Args::resume)},
         {"--shard", "I/N", str(&Args::shard)},
         {"--shards", "N", num(&Args::shards)},
-        {"--shard-timeout", "SEC", fnum(&Args::shardTimeout)},
-        {"--retries", "R", num(&Args::retries)},
         {"--strategy", "random|surrogate", str(&Args::strategy)},
         {"--initial-points", "N", num(&Args::initialPoints)},
         {"--max-rounds", "R", num(&Args::maxRounds)},
@@ -310,9 +303,9 @@ printBinding(const Graph& g, const ParamBinding& b)
 }
 
 /**
- * The one ExploreConfig builder every command shares: shard runs,
- * the supervisor and `merge` must all derive the identical global
- * sample set, so they must all come through here.
+ * The one ExploreConfig builder every command shares: shard runs
+ * and `merge` must derive the identical global sample set, so they
+ * both come through here.
  */
 dse::ExploreConfig
 makeConfig(const Args& args)
@@ -474,119 +467,16 @@ printPareto(const Graph& g, const dse::ExploreResult& res, int top)
     }
 }
 
-/** Path of this binary, for relaunching ourselves as shard workers. */
-std::string
-selfExe(const char* argv0)
-{
-    char buf[4096];
-    const ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return buf;
-    }
-    return argv0;
-}
-
-const char* gArgv0 = "dhdlc";
-
-/**
- * Supervisor mode (`--shards N`): run every shard of this design as
- * a watched subprocess of this same binary, retrying crashed or hung
- * shards with backoff, then merge whatever completed. A permanently
- * failed shard degrades the merge to partial — reported, not fatal.
- */
-int
-cmdSupervise(const Args& args)
-{
-    require(!args.checkpoint.empty(),
-            "--shards needs --checkpoint (shard files derive from it)");
-    require(args.shards >= 1, "--shards must be >= 1");
-    Loaded l = load(args); // Validate the design before spawning.
-    // Fill a cold calibration cache once, before the shards start,
-    // so each of them loads it instead of computing its own.
-    estimator();
-
-    const std::string exe = selfExe(gArgv0);
-    std::vector<dse::SupervisorTask> tasks;
-    for (int s = 0; s < args.shards; ++s) {
-        dse::SupervisorTask t;
-        const std::string spec =
-            std::to_string(s) + "/" + std::to_string(args.shards);
-        t.argv = {exe,
-                  "explore",
-                  args.benchmark,
-                  "--scale",
-                  std::to_string(args.scale),
-                  "--points",
-                  std::to_string(args.points),
-                  "--threads",
-                  std::to_string(args.threads),
-                  "--shard",
-                  spec,
-                  "--checkpoint",
-                  args.checkpoint,
-                  "--resume"};
-        if (args.seed >= 0) {
-            t.argv.push_back("--seed");
-            t.argv.push_back(std::to_string(args.seed));
-        }
-        if (args.checkpointEvery > 0) {
-            t.argv.push_back("--checkpoint-every");
-            t.argv.push_back(std::to_string(args.checkpointEvery));
-        }
-        if (args.timeBudget > 0) {
-            t.argv.push_back("--time-budget");
-            t.argv.push_back(std::to_string(args.timeBudget));
-        }
-        if (!args.strategy.empty()) {
-            t.argv.push_back("--strategy");
-            t.argv.push_back(args.strategy);
-        }
-        if (args.initialPoints > 0) {
-            t.argv.push_back("--initial-points");
-            t.argv.push_back(std::to_string(args.initialPoints));
-        }
-        if (args.maxRounds > 0) {
-            t.argv.push_back("--max-rounds");
-            t.argv.push_back(std::to_string(args.maxRounds));
-        }
-        t.logPath = dse::shardCheckpointPath(args.checkpoint, s,
-                                             args.shards) +
-                    ".log";
-        t.label = "shard " + spec;
-        tasks.push_back(std::move(t));
-    }
-
-    dse::SupervisorConfig sc;
-    sc.timeoutSeconds = args.shardTimeout;
-    sc.maxRetries = args.retries;
-    sc.jitterSeed = args.seed >= 0 ? uint64_t(args.seed) : 0xD5Eull;
-    auto sup = dse::runSupervised(tasks, sc);
-    for (const auto& t : sup.tasks)
-        std::cout << (t.succeeded ? "done: " : "FAILED: ") << t.detail
-                  << "\n";
-    if (sup.retries)
-        std::cout << sup.retries << " retried attempt(s), "
-                  << sup.timeouts << " watchdog timeout(s)\n";
-
-    auto merged = dse::mergeShards(l.graph, makeConfig(args),
-                                   args.shards, args.checkpoint);
-    if (!merged.complete()) {
-        std::cout << "partial merge; missing shard(s):";
-        for (int s : merged.missingShards)
-            std::cout << " " << s;
-        std::cout << "\n";
-    }
-    printStats(merged.result);
-    printPareto(l.graph, merged.result, args.top);
-    return merged.complete() && sup.allSucceeded() ? 0 : 1;
-}
-
 int
 cmdExplore(const Args& args)
 {
-    if (args.shards > 0)
-        return cmdSupervise(args);
+    if (args.shards > 0) {
+        std::cerr << "dhdlc: explore has no --shards N; run each shard "
+                     "as its own process with --shard I/N --checkpoint "
+                     "FILE --resume, then `dhdlc merge --shards N`, or "
+                     "use --threads N on one machine\n";
+        return 2;
+    }
     Loaded l = load(args);
     auto res = explore(l.graph, args);
     printStats(res);
@@ -969,7 +859,6 @@ finishObs(const Args& args)
 int
 main(int argc, char** argv)
 {
-    gArgv0 = argv[0];
     Args args;
     if (!parse(argc, argv, args))
         return usage();
